@@ -77,7 +77,10 @@ _DUAL_LABELS = {
 }
 
 
-def _load_algebra(ref: str) -> FiniteAlgebra:
+def _load_algebra(ref: str, validate: bool = True) -> FiniteAlgebra:
+    """A builtin by name (with or without the `builtin:` prefix) or an
+    algebra file; `validate=False` lets a file that breaks the axioms
+    load, so `verify` can report which laws fail."""
     if ref.startswith("builtin:"):
         return catalog.get(ref[len("builtin:") :])
     try:
@@ -86,7 +89,7 @@ def _load_algebra(ref: str) -> FiniteAlgebra:
         pass
     if os.path.exists(ref):
         with open(ref) as fh:
-            return fileformat.load_one(fh.read())
+            return fileformat.load_one(fh.read(), validate)
     raise SystemExit2(f"no builtin algebra or file named {ref!r}")
 
 
@@ -118,7 +121,7 @@ def cmd_verify(args) -> int:
     lines = []
     status = OK
     for ref in names:
-        a = _load_algebra_unvalidated(ref)
+        a = _load_algebra(ref, validate=False)
         report = verify_axioms(a)
         label = a.name or ref
         results.append(
@@ -137,19 +140,6 @@ def cmd_verify(args) -> int:
             lines.append(f"{label}: FAILS {failed}")
     _emit({"results": results}, args, lines)
     return status
-
-
-def _load_algebra_unvalidated(ref: str) -> FiniteAlgebra:
-    if ref.startswith("builtin:"):
-        return catalog.get(ref[len("builtin:") :])
-    try:
-        return catalog.get(ref)
-    except KeyError:
-        pass
-    if os.path.exists(ref):
-        with open(ref) as fh:
-            return fileformat.load_one(fh.read(), validate=False)
-    raise SystemExit2(f"no builtin algebra or file named {ref!r}")
 
 
 def cmd_check(args) -> int:

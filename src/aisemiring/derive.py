@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .algebra import ResourceBudgetError
 from .terms import (
     DecomposedPiece,
     Identity,
@@ -267,7 +268,7 @@ class _Search:
         if cached is None:
             self.nodes += 1
             if self.node_budget is not None and self.nodes > self.node_budget:
-                raise DeriveError("node budget exhausted")
+                raise ResourceBudgetError("node budget exhausted")
             cached = _successors(state, self.rules, self.candidates, self.size_cap)
             self._succ_cache[state] = cached
         return cached
@@ -284,10 +285,7 @@ class _Search:
         return None
 
     def _dfs(self, state, goal, remaining, best_seen):
-        try:
-            successors = self.successors(state)
-        except DeriveError:
-            return None
+        successors = self.successors(state)
         for new, step in successors:
             if new == goal:
                 return [step]
@@ -347,8 +345,10 @@ def derive_bounded(
 ) -> Proof | None:
     """Search for a replayable derivation of the target from the basis.
 
-    Returns None when no proof is found within the bounds; that is a
-    bounded verdict, never a refutation.
+    Returns None when no proof is found within the depth and size
+    bounds; that is a bounded verdict, never a refutation. Raises
+    ResourceBudgetError when the search visits more than `node_budget`
+    states.
     """
     if isinstance(target, str):
         target = parse_identity(target)

@@ -12,7 +12,9 @@ Vectors are packed into bytes and the componentwise operations run
 through int/bytes translation tables, which keeps rank-4 free algebras
 over 4-element generators comfortably fast in pure Python. Generators
 whose combined carrier exceeds 16 elements fall back to a plain tuple
-representation.
+representation. Either way the closure computes each product once:
+its sweep over pairs of elements records the operation tables as it
+discovers new elements.
 """
 
 from __future__ import annotations
@@ -138,31 +140,20 @@ class _Universe:
                     mul[offset + a, offset + b] = offset + g.mul[a][b]
         return add, mul
 
-    def vec_add(self, u, v):
-        if self._packed:
-            iu = int.from_bytes(u, "big")
-            iv = int.from_bytes(v, "big")
-            paired = (iu << 4 | iv).to_bytes(self.width, "big")
-            return paired.translate(self._add_pair)
-        return tuple(self._add_map[a, b] for a, b in zip(u, v))
-
-    def vec_mul(self, u, v):
-        if self._packed:
-            iu = int.from_bytes(u, "big")
-            iv = int.from_bytes(v, "big")
-            paired = (iu << 4 | iv).to_bytes(self.width, "big")
-            return paired.translate(self._mul_pair)
-        return tuple(self._mul_map[a, b] for a, b in zip(u, v))
-
     # -- closure --------------------------------------------------------------
 
     def _close(self, seeds, closure_limit, cell_limit):
-        """Worklist closure of the seed vectors under both operations.
+        """Worklist closure of the seed vectors under both operations,
+        recording the operation tables as it goes.
 
         Elements are indexed in discovery order (seeds first, then new
         vectors as the deterministic add/mul/mul-flipped sweep produces
         them); each element records how it was first derived, so witness
         terms can be rebuilt on demand without allocating terms here.
+        Sweep step (pos, j <= pos) yields add_tab[pos][j] = add_tab[j][pos],
+        mul_tab[pos][j] and mul_tab[j][pos]. Row pos is started at step
+        (pos, 0) and every earlier row j gains column pos at step
+        (pos, j), so each row is built by appending in index order.
         """
         vectors: list = []
         parents: list[tuple] = []  # ("x", i) or ("+"/"*", left_idx, right_idx)
@@ -172,42 +163,74 @@ class _Universe:
                 index[vec] = len(vectors)
                 vectors.append(vec)
                 parents.append(("x", i, -1))
+
+        packed, width = self._packed, self.width
+
+        def discover(vec, op, left, right) -> int:
+            if (
+                len(vectors) >= closure_limit
+                or (len(vectors) + 1) * width > cell_limit
+            ):
+                raise ResourceBudgetError(
+                    "free-algebra closure exceeded the configured budget"
+                )
+            index[vec] = idx = len(vectors)
+            vectors.append(vec)
+            parents.append((op, left, right))
+            return idx
+
+        if packed:
+            add_pair, mul_pair = self._add_pair, self._mul_pair
+        else:
+            add_map, mul_map = self._add_map, self._mul_map
+        # integer forms of the packed vectors, by index: u + v and uv share
+        # one pair code and differ only in the translation table
+        ints: list[int] = []
+        add_tab: list[list[int]] = []
+        mul_tab: list[list[int]] = []
         pos = 0
         while pos < len(vectors):
             u = vectors[pos]
+            add_row: list[int] = []
+            mul_row: list[int] = []
+            add_tab.append(add_row)
+            mul_tab.append(mul_row)
+            if packed:
+                iu = int.from_bytes(u, "big")
+                ints.append(iu)
             for j in range(pos + 1):
-                v = vectors[j]
-                for vec, op, left, right in (
-                    (self.vec_add(u, v), "+", pos, j),
-                    (self.vec_mul(u, v), "*", pos, j),
-                    (self.vec_mul(v, u), "*", j, pos),
-                ):
-                    if vec not in index:
-                        if (
-                            len(vectors) >= closure_limit
-                            or (len(vectors) + 1) * self.width > cell_limit
-                        ):
-                            raise ResourceBudgetError(
-                                "free-algebra closure exceeded the configured budget"
-                            )
-                        index[vec] = len(vectors)
-                        vectors.append(vec)
-                        parents.append((op, left, right))
+                if packed:
+                    iv = ints[j]
+                    pair = (iu << 4 | iv).to_bytes(width, "big")
+                    total = pair.translate(add_pair)
+                    prod = pair.translate(mul_pair)
+                    flipped = (iv << 4 | iu).to_bytes(width, "big").translate(mul_pair)
+                else:
+                    v = vectors[j]
+                    total = tuple(add_map[a, b] for a, b in zip(u, v))
+                    prod = tuple(mul_map[a, b] for a, b in zip(u, v))
+                    flipped = tuple(mul_map[b, a] for a, b in zip(u, v))
+                s = index.get(total)
+                if s is None:
+                    s = discover(total, "+", pos, j)
+                p = index.get(prod)
+                if p is None:
+                    p = discover(prod, "*", pos, j)
+                add_row.append(s)
+                mul_row.append(p)
+                if j < pos:
+                    q = index.get(flipped)
+                    if q is None:
+                        q = discover(flipped, "*", j, pos)
+                    add_tab[j].append(s)
+                    mul_tab[j].append(q)
             pos += 1
         self.vectors = vectors
         self.index = index
         self._parents = parents
         self._witnesses: dict[int, TermNF] = {}
-        size = len(vectors)
-        self.add_tab = [[0] * size for _ in range(size)]
-        self.mul_tab = [[0] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i, size):
-                s = index[self.vec_add(vectors[i], vectors[j])]
-                self.add_tab[i][j] = s
-                self.add_tab[j][i] = s
-            for j in range(size):
-                self.mul_tab[i][j] = index[self.vec_mul(vectors[i], vectors[j])]
+        self.add_tab = add_tab
+        self.mul_tab = mul_tab
         self.seed_ids = [index[v] for v in seeds]
 
     def witness(self, idx: int) -> TermNF:

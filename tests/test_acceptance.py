@@ -258,22 +258,25 @@ def test_criterion_9_derivations_and_random_transfer():
           "400 random identities transfer correctly for all four defined classes")
 
 
+# (command, expected exit status); count-restricted reports the
+# falsified 789 claim with status 1
 DETERMINISM_COMMANDS = (
-    ("enumerate", "--order", "4", "--count-only", "--format", "json"),
-    ("enumerate", "--order", "3", "--format", "json"),
-    ("enumerate", "--order", "3", "--class", "row-constant", "--format", "json"),
-    ("count-restricted", "--max-order", "5", "--format", "json"),
-    ("figure1",),
-    ("check", "--algebra", "builtin:S58", "--identity", "xy=xz", "--format", "json"),
-    ("member", "--algebra", "builtin:R2", "--variety", "builtin:S4_475",
-     "--format", "json"),
-    ("derive", "--basis", "xx = xx + yy; xy = xz", "--target", "x1x2 = y1y2",
-     "--format", "json"),
+    (("enumerate", "--order", "4", "--count-only", "--format", "json"), 0),
+    (("enumerate", "--order", "3", "--format", "json"), 0),
+    (("enumerate", "--order", "3", "--class", "row-constant", "--format", "json"), 0),
+    (("count-restricted", "--max-order", "5", "--format", "json"), 1),
+    (("figure1",), 0),
+    (("check", "--algebra", "builtin:S58", "--identity", "xy=xz", "--format", "json"),
+     0),
+    (("member", "--algebra", "builtin:R2", "--variety", "builtin:S4_475",
+      "--format", "json"), 0),
+    (("derive", "--basis", "xx = xx + yy; xy = xz", "--target", "x1x2 = y1y2",
+      "--format", "json"), 0),
 )
 
 
 def test_criterion_10_determinism_across_workers():
-    for command in DETERMINISM_COMMANDS:
+    for command, expected_code in DETERMINISM_COMMANDS:
         outputs = []
         for workers in ("1", "4", "8"):
             proc = subprocess.run(
@@ -281,6 +284,7 @@ def test_criterion_10_determinism_across_workers():
                  "--workers", workers],
                 capture_output=True,
             )
+            assert proc.returncode == expected_code, (command, workers, proc.stderr)
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1] == outputs[2], command
     print(f"\nACCEPTANCE 10 PASS: {len(DETERMINISM_COMMANDS)} reports byte-identical "

@@ -217,6 +217,22 @@ def test_derive_not_found(capsys):
     assert "not derived" in out
 
 
+def test_derive_budget_exhaustion_is_resource_status(capsys):
+    code, out, err = run(
+        capsys,
+        "derive",
+        "--basis",
+        "xx = xx + yy; xy = xz",
+        "--target",
+        "x1x2 = y1y2",
+        "--node-budget",
+        "3",
+    )
+    assert code == 2
+    assert "budget exhausted" in err
+    assert out == ""
+
+
 def test_figure1_passes(capsys):
     code, out, _ = run(capsys, "figure1")
     assert code == 0

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from aisemiring import catalog
+from aisemiring.algebra import ResourceBudgetError
 from aisemiring.derive import (
     Occurrence,
     Proof,
@@ -259,9 +260,12 @@ def test_fuzzed_proofs_replay_and_are_sound():
             if rng.random() < 0.5
             else random_identity(rng)
         )
-        proof = derive_bounded(
-            basis, target, depth=2, size_factor=1, node_budget=400
-        )
+        try:
+            proof = derive_bounded(
+                basis, target, depth=2, size_factor=1, node_budget=400
+            )
+        except ResourceBudgetError:
+            proof = None  # a spent budget, like a bounded miss, is no proof
         if proof is None:
             continue
         found += 1

@@ -62,6 +62,49 @@ def test_free_algebra_nt_rank_2_collapses_long_words():
     assert m[0][1] == m[1][0] == m[0][0] == m[1][1]
 
 
+def componentwise(gens, k, op, u, v):
+    """u op v entry by entry, read straight off the generator tables;
+    blocks follow the generator order, as in FreeAlgebraResult.vectors."""
+    out = []
+    pos = 0
+    for gen in gens:
+        table = getattr(gen, op)
+        for _ in range(gen.order**k):
+            out.append(table[u[pos]][v[pos]])
+            pos += 1
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "names, k", [(("S4_475",), 3), (("L2", "N2", "T2"), 4)], ids=["R-3", "LNT-4"]
+)
+def test_free_algebra_tables_match_componentwise_products(names, k):
+    gens = tuple(g(n) for n in names)
+    res = free_algebra(VarietySpec("V", gens), k)
+    index = {vec: i for i, vec in enumerate(res.vectors)}
+    assert len(index) == res.algebra.order
+    for op in ("add", "mul"):
+        table = getattr(res.algebra, op)
+        for i, u in enumerate(res.vectors):
+            for j, v in enumerate(res.vectors):
+                assert table[i][j] == index[componentwise(gens, k, op, u, v)], (
+                    op, i, j
+                )
+
+
+def test_free_algebra_tuple_path_matches_packed_path():
+    # five copies of S4_475 make a 20-letter alphabet, beyond the 16
+    # that fit a packed byte pair; the variety is still R
+    five = VarietySpec("R5", (g("S4_475"),) * 5)
+    assert sum(gen.order for gen in five.generators) > 16
+    wide = free_algebra(five, 2)
+    packed = free_algebra(R_SPEC, 2)
+    assert wide.algebra.add == packed.algebra.add
+    assert wide.algebra.mul == packed.algebra.mul
+    assert [str(w) for w in wide.witnesses] == [str(w) for w in packed.witnesses]
+    assert [v * 5 for v in packed.vectors] == list(wide.vectors)
+
+
 def test_free_algebra_satisfies_exactly_the_two_variable_identities():
     res = free_algebra(spec("V(L2,T2)", "L2", "T2"), 2)
     f = res.algebra
