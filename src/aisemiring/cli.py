@@ -471,25 +471,15 @@ def _figure1_claims(lat, expected_edges, expected_atoms, dual_mode: bool):
 
 
 def cmd_figure1(args) -> int:
-    g = catalog.get
     if args.dual:
-        dual_top = dual(g("S4_475")).renamed("dual_S4_475")
         specs = [
-            VarietySpec("T", (g("trivial"),)),
-            VarietySpec("V(R2)", (g("R2"),)),
-            VarietySpec("V(N2)", (g("N2"),)),
-            VarietySpec("V(T2)", (g("T2"),)),
-            VarietySpec("V(R2,N2)", (g("R2"), g("N2"))),
-            VarietySpec("V(N2,T2)", (g("N2"), g("T2"))),
-            VarietySpec("V(R2,T2)", (g("R2"), g("T2"))),
-            VarietySpec("V(R2,N2,T2)", (g("R2"), g("N2"), g("T2"))),
-            VarietySpec("V(S56)", (g("S56"),)),
-            VarietySpec("C", (dual_top,)),
+            VarietySpec(_DUAL_LABELS[s.label], tuple(dual(x) for x in s.generators))
+            for s in standard_subvariety_specs()
         ]
         expected_edges = [
             (_DUAL_LABELS[a], _DUAL_LABELS[b]) for a, b in FIGURE1_EDGES
         ]
-        expected_atoms = ["V(R2)", "V(N2)", "V(T2)"]
+        expected_atoms = [_DUAL_LABELS[a] for a in FIGURE1_ATOMS]
     else:
         specs = standard_subvariety_specs()
         expected_edges = list(FIGURE1_EDGES)

@@ -6,7 +6,9 @@ the map sending the free generator x_i to a_i is well defined on the
 relatively free algebra of rank k = |A|. That free algebra is realized
 inside the product of copies of the generators, one copy per assignment
 of k variables; its elements are evaluation vectors, each carrying one
-witness term.
+witness term. The test reads the closure: each free element takes the
+value in A of its first derivation, and every product the closure swept
+is checked against those values.
 
 Vectors are packed into bytes and the componentwise operations run
 through int/bytes translation tables, which keeps rank-4 free algebras
@@ -61,9 +63,9 @@ class _Universe:
     """
 
     def __init__(self, generators, k, closure_limit, cell_limit):
-        self.generators = generators
         self.k = k
-        blocks = []
+        # (generator, offset of its letters, length of its block)
+        self.blocks = blocks = []
         offset = 0
         width = 0
         for g in generators:
@@ -73,26 +75,22 @@ class _Universe:
             offset += g.order
         self.alphabet = offset
         self.width = width
-        if width * max(1, k) > cell_limit:
-            raise ResourceBudgetError(
-                f"evaluation vectors of length {width} exceed the cell budget"
-            )
         self._packed = self.alphabet <= 16
         if self._packed:
-            self._add_pair, self._mul_pair = self._pair_tables(blocks)
+            self._add_pair, self._mul_pair = self._pair_tables()
         else:
-            self._add_map, self._mul_map = self._pair_dicts(blocks)
+            self._add_map, self._mul_map = self._pair_dicts()
 
-        seeds = self._seed_vectors(blocks)
+        seeds = self._seed_vectors()
         self._close(seeds, closure_limit, cell_limit)
 
     # -- vector construction -------------------------------------------------
 
-    def _seed_vectors(self, blocks):
+    def _seed_vectors(self):
         seeds = []
         for i in range(self.k):
             entries = []
-            for g, offset, _count in blocks:
+            for g, offset, _count in self.blocks:
                 for assignment in itertools.product(range(g.order), repeat=self.k):
                     entries.append(offset + assignment[i])
             seeds.append(self._pack(entries))
@@ -105,24 +103,16 @@ class _Universe:
         """Vector entries as local generator elements (offsets removed)."""
         out = []
         pos = 0
-        for g, offset, count in self._blocks_for_decode():
+        for _g, offset, count in self.blocks:
             for _ in range(count):
                 out.append(vector[pos] - offset)
                 pos += 1
         return tuple(out)
 
-    def _blocks_for_decode(self):
-        blocks = []
-        offset = 0
-        for g in self.generators:
-            blocks.append((g, offset, g.order**self.k))
-            offset += g.order
-        return blocks
-
-    def _pair_tables(self, blocks):
+    def _pair_tables(self):
         add = bytearray(256)
         mul = bytearray(256)
-        for g, offset, _count in blocks:
+        for g, offset, _count in self.blocks:
             for a in range(g.order):
                 for b in range(g.order):
                     code = (offset + a) << 4 | (offset + b)
@@ -130,10 +120,10 @@ class _Universe:
                     mul[code] = offset + g.mul[a][b]
         return bytes(add), bytes(mul)
 
-    def _pair_dicts(self, blocks):
+    def _pair_dicts(self):
         add: dict[tuple[int, int], int] = {}
         mul: dict[tuple[int, int], int] = {}
-        for g, offset, _count in blocks:
+        for g, offset, _count in self.blocks:
             for a in range(g.order):
                 for b in range(g.order):
                     add[offset + a, offset + b] = offset + g.add[a][b]
@@ -347,9 +337,13 @@ def member(
 ) -> MembershipResult:
     """Decide whether `a` lies in the variety generated by the spec.
 
-    Pairs each free-algebra element with its value in `a`; the induced
-    map x_i -> a_i is well defined exactly when no free element receives
-    two values, and a clash yields the separating identity.
+    Gives each free-algebra element the value in `a` of its first
+    derivation, starting from x_i -> a_i. `a` is a member exactly when
+    this map is a homomorphism: every generator keeps its own value and
+    every entry of the free algebra's tables takes the sum or product of
+    its factors' values. The first failure, in the closure's sweep
+    order, yields the separating identity: the element's witness on one
+    side, the failing sum or product of witnesses on the other.
     """
     a.validate()
     k = a.order
@@ -358,49 +352,46 @@ def member(
     hit = _member_cache.get(cache_key)
     if hit is not None:
         return hit
+    separating = _separating_identity(a, uni)
     assignment = {_variable(i): i for i in range(k)}
-
-    # Walk pairs (free element, candidate value); derivations are kept as
-    # parent pointers and turned into terms only if a clash shows up.
-    values: dict[int, int] = {}
-    settled: list[int] = []
-    derivation: dict[int, tuple] = {}
-    pending: list[tuple[int, int, tuple]] = [
-        (fid, i, ("x", i, -1)) for i, fid in enumerate(uni.seed_ids)
-    ]
-
-    def term_of(parent: tuple) -> TermNF:
-        op, left, right = parent
-        if op == "x":
-            return TermNF([(_variable(left),)])
-        lt = term_of(derivation[left])
-        rt = term_of(derivation[right])
-        return lt + rt if op == "+" else lt * rt
-
-    result = None
-    pos = 0
-    while pos < len(pending):
-        fid, val, parent = pending[pos]
-        pos += 1
-        if fid in values:
-            if values[fid] != val:
-                separating = Identity(term_of(derivation[fid]), term_of(parent))
-                result = MembershipResult(False, separating, assignment)
-                break
-            continue
-        values[fid] = val
-        derivation[fid] = parent
-        settled.append(fid)
-        add_row, mul_row = uni.add_tab[fid], uni.mul_tab[fid]
-        for other in settled:
-            oval = values[other]
-            pending.append((add_row[other], a.add[val][oval], ("+", fid, other)))
-            pending.append((mul_row[other], a.mul[val][oval], ("*", fid, other)))
-            pending.append((uni.mul_tab[other][fid], a.mul[oval][val], ("*", other, fid)))
-    if result is None:
-        result = MembershipResult(True, None, assignment)
+    result = MembershipResult(separating is None, separating, assignment)
     _member_cache[cache_key] = result
     return result
+
+
+def _separating_identity(a: FiniteAlgebra, uni: _Universe) -> Identity | None:
+    """witness(e) = t for the first free element e, in the closure's sweep
+    order, that a second derivation t sends to another value in `a`;
+    None when every derivation agrees."""
+    add, mul = a.add, a.mul
+    values: list[int] = []
+    for op, left, right in uni._parents:  # parents precede their children
+        if op == "x":
+            values.append(left)
+        elif op == "+":
+            values.append(add[values[left]][values[right]])
+        else:
+            values.append(mul[values[left]][values[right]])
+    w = uni.witness
+    for i, fid in enumerate(uni.seed_ids):
+        if values[fid] != i:
+            return Identity(w(fid), TermNF([(_variable(i),)]))
+    mul_tab = uni.mul_tab
+    for pos, (add_row, mul_row) in enumerate(zip(uni.add_tab, mul_tab)):
+        vp = values[pos]
+        add_p, mul_p = add[vp], mul[vp]
+        for j in range(pos + 1):
+            vj = values[j]
+            s, p = add_row[j], mul_row[j]
+            if values[s] != add_p[vj]:
+                return Identity(w(s), w(pos) + w(j))
+            if values[p] != mul_p[vj]:
+                return Identity(w(p), w(pos) * w(j))
+            if j < pos:
+                q = mul_tab[j][pos]
+                if values[q] != mul[vj][vp]:
+                    return Identity(w(q), w(j) * w(pos))
+    return None
 
 
 EQUAL = "equal"

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from aisemiring import catalog
-from aisemiring.algebra import ResourceBudgetError, relabel
-from aisemiring.enumeration import enumerate_row_constant
+from aisemiring.algebra import ResourceBudgetError, dual, relabel
+from aisemiring.enumeration import enumerate_ai_semirings, enumerate_row_constant
 from aisemiring.satisfaction import evaluate, satisfies
+from aisemiring.terms import Identity, TermNF
 from aisemiring.variety import (
     EQUAL,
     INCOMPARABLE,
@@ -18,6 +19,7 @@ from aisemiring.variety import (
     classify_generated,
     compare,
     free_algebra,
+    _universe,
     member,
     standard_subvariety_specs,
 )
@@ -130,20 +132,109 @@ def test_member_trivial_everywhere():
         assert member(g("trivial"), s).member
 
 
-def test_member_negative_with_checkable_certificate():
-    res = member(g("R2"), R_SPEC)
+@pytest.mark.parametrize(
+    "candidate, gens, expected",
+    [
+        ("R2", ("S4_475",), "x1x1 = x1x2"),
+        ("R2", ("S4_475",) * 5, "x1x1 = x1x2"),
+        ("L2", ("trivial",), "x1 = x2"),
+        ("L2", ("N2",), "x1x1 = x2x1"),
+        ("S7", ("S4_475",), "x3x1 = x3x2"),
+        ("S58", ("L2", "N2", "T2"), "x1+x2+x1x1 = x1+x2+x2x1"),
+    ],
+    ids=["R2-in-R", "R2-in-R5", "L2-in-T", "L2-in-N2", "S7-in-R", "S58-in-LNT"],
+)
+def test_member_negative_with_checkable_certificate(candidate, gens, expected):
+    variety = spec("V", *gens)
+    a = g(candidate)
+    res = member(a, variety)
     assert not res.member
     sep = res.separating_identity
-    assert sep is not None
+    assert str(sep) == expected
     # the separating identity holds in every generator of the variety
-    for generator in R_SPEC.generators:
+    for generator in variety.generators:
         assert satisfies(generator, sep).holds
     # and fails in the candidate, in particular under the recorded assignment
-    check = satisfies(g("R2"), sep)
+    check = satisfies(a, sep)
     assert not check.holds
-    lhs = evaluate(g("R2"), sep.lhs, res.assignment)
-    rhs = evaluate(g("R2"), sep.rhs, res.assignment)
+    lhs = evaluate(a, sep.lhs, res.assignment)
+    rhs = evaluate(a, sep.rhs, res.assignment)
     assert lhs != rhs
+
+
+def reference_member(a, spec):
+    """The pair walk `member` ran before it read the closure's first
+    derivations: a FIFO queue of (free element, value, derivation)
+    triples, processed in the closure's sweep order. Returns (member,
+    separating identity as text or None, assignment)."""
+    uni = _universe(spec.generators, a.order)
+    k = a.order
+    assignment = {f"x{i + 1}": i for i in range(k)}
+
+    values: dict[int, int] = {}
+    settled: list[int] = []
+    derivation: dict[int, tuple] = {}
+    pending: list[tuple[int, int, tuple]] = [
+        (fid, i, ("x", i, -1)) for i, fid in enumerate(uni.seed_ids)
+    ]
+
+    def term_of(parent: tuple) -> TermNF:
+        op, left, right = parent
+        if op == "x":
+            return TermNF([(f"x{left + 1}",)])
+        lt = term_of(derivation[left])
+        rt = term_of(derivation[right])
+        return lt + rt if op == "+" else lt * rt
+
+    pos = 0
+    while pos < len(pending):
+        fid, val, parent = pending[pos]
+        pos += 1
+        if fid in values:
+            if values[fid] != val:
+                separating = Identity(term_of(derivation[fid]), term_of(parent))
+                return False, str(separating), assignment
+            continue
+        values[fid] = val
+        derivation[fid] = parent
+        settled.append(fid)
+        add_row, mul_row = uni.add_tab[fid], uni.mul_tab[fid]
+        for other in settled:
+            oval = values[other]
+            pending.append((add_row[other], a.add[val][oval], ("+", fid, other)))
+            pending.append((mul_row[other], a.mul[val][oval], ("*", fid, other)))
+            pending.append((uni.mul_tab[other][fid], a.mul[oval][val], ("*", other, fid)))
+    return True, None, assignment
+
+
+def test_member_matches_reference_walk_on_all_algebras_up_to_order_3():
+    standard = standard_subvariety_specs()
+    specs = [
+        *standard,
+        *(
+            VarietySpec(f"dual {s.label}", tuple(dual(x) for x in s.generators))
+            for s in standard
+        ),
+        VarietySpec("R5", (g("S4_475"),) * 5),  # tuple path
+        # a sum and a product clash at the same sweep step here, so this
+        # spec pins the order of the checks within a step
+        spec("V(S7)", "S7"),
+    ]
+    algebras = [a for n in (1, 2, 3) for a in enumerate_ai_semirings(n).items]
+    assert len(algebras) == 1 + 6 + 61
+    members = 0
+    for a in algebras:
+        for s in specs:
+            res = member(a, s)
+            got = (
+                res.member,
+                None if res.separating_identity is None else str(res.separating_identity),
+                res.assignment,
+            )
+            assert got == reference_member(a, s), (a.add, a.mul, s.label)
+            members += res.member
+    # both verdicts are exercised
+    assert 0 < members < len(algebras) * len(specs)
 
 
 def test_member_isomorphism_invariant():
