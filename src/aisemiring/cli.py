@@ -433,9 +433,9 @@ def _figure1_claims(lat, expected_edges, expected_atoms, dual_mode: bool):
         ),
     ]
     g = catalog.get
+    big = VarietySpec("S58,N2", (g("S58"), g("N2")))
+    top = VarietySpec("S4_475", (g("S4_475"),))
     if not dual_mode:
-        big = VarietySpec("S58,N2", (g("S58"), g("N2")))
-        top = VarietySpec("S4_475", (g("S4_475"),))
         claims.append(
             (
                 "V(S4_475) equals V(S58,N2)",
@@ -457,9 +457,7 @@ def _figure1_claims(lat, expected_edges, expected_atoms, dual_mode: bool):
             )
         )
     else:
-        dual_top_alg = dual(g("S4_475")).renamed("dual_S4_475")
-        big = VarietySpec("S56,N2", (g("S56"), g("N2")))
-        top = VarietySpec("C", (dual_top_alg,))
+        top, big = _dual_spec(top, "C"), _dual_spec(big, "S56,N2")
         claims.append(
             (
                 "V(dual S4_475) equals V(S56,N2)",
@@ -470,11 +468,14 @@ def _figure1_claims(lat, expected_edges, expected_atoms, dual_mode: bool):
     return claims
 
 
+def _dual_spec(spec: VarietySpec, label: str) -> VarietySpec:
+    return VarietySpec(label, tuple(dual(x) for x in spec.generators))
+
+
 def cmd_figure1(args) -> int:
     if args.dual:
         specs = [
-            VarietySpec(_DUAL_LABELS[s.label], tuple(dual(x) for x in s.generators))
-            for s in standard_subvariety_specs()
+            _dual_spec(s, _DUAL_LABELS[s.label]) for s in standard_subvariety_specs()
         ]
         expected_edges = [
             (_DUAL_LABELS[a], _DUAL_LABELS[b]) for a, b in FIGURE1_EDGES
@@ -517,9 +518,19 @@ def cmd_figure1(args) -> int:
 # argument plumbing
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,6 @@ that every emitted table pair literally equals its canonical form.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -154,98 +153,108 @@ def _aut_minimal(flat: tuple[int, ...], n: int, auts) -> bool:
 def _mul_search(add_flat, n, auts, first_value, node_budget):
     """Backtrack over multiplication cells in row-major order.
 
-    After each assignment, every associativity and distributivity
-    instance that involves the new cell and is fully determined gets
-    checked, so a completed table satisfies all instances. Returns
+    Invariant: an associativity or distributivity instance is checked
+    when the last of its cells is assigned. Every other instance is
+    either still open or was fully determined, and checked, at an
+    ancestor node, so only the instances that contain the new cell need
+    checking, and a completed table satisfies all of them. Returns
     (list of flat mul tables, nodes visited, completed flag).
     """
-    N = n * n
-    mul = [-1] * N
-    add = add_flat
+    rng = range(n)
+    rows = [[-1] * n for _ in rng]
+    adds = [add_flat[x * n : x * n + n] for x in rng]
     results: list[tuple[int, ...]] = []
     nodes = 0
-    rng = range(n)
+    # sums[c]: the pairs y < z, both other than c, with y + z = c; an
+    # instance a(y + z) with y or z equal to c is one of a(c + z)
+    sums = [[] for _ in rng]
+    for y in rng:
+        for z in range(y + 1, n):
+            c = adds[y][z]
+            if c != y and c != z:
+                sums[c].append((y, z))
+    # holding[v]: the assigned cells (x, y) with xy = v, as (row x, x, y)
+    holding: list[list[tuple[list[int], int, int]]] = [[] for _ in rng]
 
-    def consistent(a: int, b: int) -> bool:
-        v = mul[a * n + b]
-        # associativity instances touching cell (a, b)
-        for z in rng:
-            bz = mul[b * n + z]
-            if bz != -1:
-                left = mul[v * n + z]
-                right = mul[a * n + bz]
-                if left != -1 and right != -1 and left != right:
+    def consistent(a: int, b: int, v: int) -> bool:
+        arow = rows[a]
+        # associativity with the new cell as xy, as yz, as the outer
+        # product of (xy)z and as the outer product of x(yz)
+        for bz, left in zip(rows[b], rows[v]):
+            if bz != -1 and left != -1:
+                right = arow[bz]
+                if right != -1 and left != right:
                     return False
-        for x in rng:
-            xa = mul[x * n + a]
+        for xrow in rows:
+            xa = xrow[a]
             if xa != -1:
-                left = mul[xa * n + b]
-                right = mul[x * n + v]
-                if left != -1 and right != -1 and left != right:
+                left = rows[xa][b]
+                if left != -1:
+                    right = xrow[v]
+                    if right != -1 and left != right:
+                        return False
+        for xrow, _x, y in holding[a]:
+            yb = rows[y][b]
+            if yb != -1:
+                right = xrow[yb]
+                if right != -1 and right != v:
                     return False
-        for x in rng:
-            base = x * n
-            for y in rng:
-                if mul[base + y] == a:
-                    yb = mul[y * n + b]
-                    if yb != -1:
-                        right = mul[base + yb]
-                        if right != -1 and v != right:
-                            return False
-        for y in rng:
-            base = y * n
-            for z in rng:
-                if mul[base + z] == b:
-                    ay = mul[a * n + y]
-                    if ay != -1:
-                        left = mul[ay * n + z]
-                        if left != -1 and left != v:
-                            return False
-        # left distributivity: instances with first argument a
-        arow = a * n
-        for y in rng:
-            my = mul[arow + y]
-            if my == -1:
-                continue
-            for z in rng:
-                mz = mul[arow + z]
-                if mz == -1:
-                    continue
-                myz = mul[arow + add[y * n + z]]
-                if myz != -1 and myz != add[my * n + mz]:
+        for _row, y, z in holding[b]:
+            ay = arow[y]
+            if ay != -1:
+                left = rows[ay][z]
+                if left != -1 and left != v:
                     return False
-        # right distributivity: instances with second argument b
-        for x in rng:
-            mx = mul[x * n + b]
-            if mx == -1:
-                continue
-            for y in rng:
-                my = mul[y * n + b]
-                if my == -1:
-                    continue
-                mxy = mul[add[x * n + y] * n + b]
-                if mxy != -1 and mxy != add[mx * n + my]:
+        # left distributivity a(y + z) = ay + az with y = b or y + z = b
+        vsum = adds[v]
+        for az, bz in zip(arow, adds[b]):
+            if az != -1:
+                abz = arow[bz]
+                if abz != -1 and abz != vsum[az]:
+                    return False
+        for y, z in sums[b]:
+            ay = arow[y]
+            if ay != -1:
+                az = arow[z]
+                if az != -1 and v != adds[ay][az]:
+                    return False
+        # right distributivity (x + y)b = xb + yb with x = a or x + y = a
+        for yrow, ay in zip(rows, adds[a]):
+            yb = yrow[b]
+            if yb != -1:
+                ayb = rows[ay][b]
+                if ayb != -1 and ayb != vsum[yb]:
+                    return False
+        for x, y in sums[a]:
+            xb = rows[x][b]
+            if xb != -1:
+                yb = rows[y][b]
+                if yb != -1 and v != adds[xb][yb]:
                     return False
         return True
 
     def dfs(pos: int) -> bool:
         nonlocal nodes
-        if pos == N:
-            flat = tuple(mul)
+        if pos == n * n:
+            flat = tuple(x for row in rows for x in row)
             if _aut_minimal(flat, n, auts):
                 results.append(flat)
             return True
         a, b = divmod(pos, n)
+        arow = rows[a]
+        cell = (arow, a, b)
         values = (first_value,) if pos == 0 and first_value is not None else rng
         for v in values:
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 return False
-            mul[pos] = v
-            if consistent(a, b) and not dfs(pos + 1):
-                mul[pos] = -1
+            arow[b] = v
+            held = holding[v]
+            held.append(cell)
+            if consistent(a, b, v) and not dfs(pos + 1):
                 return False
-            mul[pos] = -1
+            held.pop()
+            arow[b] = -1
         return True
 
     completed = dfs(0)
@@ -269,6 +278,8 @@ def enumerate_ai_semirings(
     chunk; exhaustion is reported as complete=False rather than raising.
     """
     _check_order(n, MAX_GENERAL_ORDER)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     started = time.perf_counter()
     chunks = []
     for add in canonical_semilattices(n):
@@ -311,7 +322,7 @@ def _run_chunks(chunks, workers: int):
             import multiprocessing as mp
 
             with mp.get_context("fork").Pool(workers) as pool:
-                return list(pool.map(_chunk_worker, chunks))
+                return list(pool.map(_chunk_worker, chunks, chunksize=1))
         except (ImportError, OSError):
             pass
     return [_chunk_worker(c) for c in chunks]
@@ -323,14 +334,39 @@ def _run_chunks(chunks, workers: int):
 
 @lru_cache(maxsize=None)
 def _idempotent_additive_endos(add: Table) -> tuple[tuple[int, ...], ...]:
+    """The maps f with f(f(x)) = f(x) and f(x + y) = f(x) + f(y), in
+    lexicographic order.
+
+    Backtracks over f[0], f[1], ...; each idempotence and additivity
+    instance is checked once all the positions it reads are fixed.
+    """
     n = len(add)
+    # closing[k]: the pairs x < y whose positions x, y, x + y are all
+    # fixed once f[k] is (the largest of the three is k)
+    closing = [[] for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            closing[max(y, add[x][y])].append((x, y, add[x][y]))
+    f = [-1] * n
     out = []
-    for f in itertools.product(range(n), repeat=n):
-        if any(f[f[x]] != f[x] for x in range(n)):
-            continue
-        if any(f[add[x][y]] != add[f[x]][f[y]] for x in range(n) for y in range(n)):
-            continue
-        out.append(f)
+
+    def dfs(k: int):
+        if k == n:
+            out.append(tuple(f))
+            return
+        for v in range(n):
+            # idempotence f(f(x)) = f(x): at x = k if f[v] is already
+            # fixed, and at every earlier x with f[x] = k now that f[k] is
+            if v < k and f[v] != v:
+                continue
+            if v != k and k in f[:k]:
+                continue
+            f[k] = v
+            if all(f[s] == add[f[x]][f[y]] for x, y, s in closing[k]):
+                dfs(k + 1)
+        f[k] = -1
+
+    dfs(0)
     return tuple(out)
 
 

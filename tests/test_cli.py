@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from aisemiring.cli import main
 from aisemiring.fileformat import load_one
 
@@ -273,3 +275,11 @@ def test_enumerate_budget_exhaustion_is_resource_status(capsys):
     )
     assert code == 2
     assert "budget exhausted" in out
+
+
+def test_workers_below_one_is_usage_error(capsys):
+    for bad in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--order", "3", "--workers", bad])
+        assert exc.value.code == 2
+        assert "argument --workers: must be at least 1" in capsys.readouterr().err

@@ -7,12 +7,16 @@ import pytest
 from aisemiring import catalog
 from aisemiring.algebra import (
     FiniteAlgebra,
+    automorphisms,
     canonical_form,
     canonical_tables,
     dual,
     relabel,
 )
 from aisemiring.enumeration import (
+    _aut_minimal,
+    _idempotent_additive_endos,
+    _mul_search,
     canonical_semilattices,
     count_restricted_union,
     enumerate_ai_semirings,
@@ -283,3 +287,159 @@ def test_order_range_check():
         enumerate_ai_semirings(6)
     with pytest.raises(ValueError):
         count_restricted_union(6)
+
+
+def test_workers_below_one_rejected():
+    with pytest.raises(ValueError, match="workers"):
+        enumerate_ai_semirings(3, workers=0)
+
+
+def reference_mul_search(add_flat, n, auts, first_value, node_budget):
+    """The multiplication search as it was before its checks were cut to
+    the instances containing the new cell: after each assignment it
+    rechecks every determined distributivity instance in the cell's row
+    and column and scans the whole table for the (xy)z and x(yz) roles."""
+    N = n * n
+    mul = [-1] * N
+    add = add_flat
+    results: list[tuple[int, ...]] = []
+    nodes = 0
+    rng = range(n)
+
+    def consistent(a: int, b: int) -> bool:
+        v = mul[a * n + b]
+        # associativity instances touching cell (a, b)
+        for z in rng:
+            bz = mul[b * n + z]
+            if bz != -1:
+                left = mul[v * n + z]
+                right = mul[a * n + bz]
+                if left != -1 and right != -1 and left != right:
+                    return False
+        for x in rng:
+            xa = mul[x * n + a]
+            if xa != -1:
+                left = mul[xa * n + b]
+                right = mul[x * n + v]
+                if left != -1 and right != -1 and left != right:
+                    return False
+        for x in rng:
+            base = x * n
+            for y in rng:
+                if mul[base + y] == a:
+                    yb = mul[y * n + b]
+                    if yb != -1:
+                        right = mul[base + yb]
+                        if right != -1 and v != right:
+                            return False
+        for y in rng:
+            base = y * n
+            for z in rng:
+                if mul[base + z] == b:
+                    ay = mul[a * n + y]
+                    if ay != -1:
+                        left = mul[ay * n + z]
+                        if left != -1 and left != v:
+                            return False
+        # left distributivity: instances with first argument a
+        arow = a * n
+        for y in rng:
+            my = mul[arow + y]
+            if my == -1:
+                continue
+            for z in rng:
+                mz = mul[arow + z]
+                if mz == -1:
+                    continue
+                myz = mul[arow + add[y * n + z]]
+                if myz != -1 and myz != add[my * n + mz]:
+                    return False
+        # right distributivity: instances with second argument b
+        for x in rng:
+            mx = mul[x * n + b]
+            if mx == -1:
+                continue
+            for y in rng:
+                my = mul[y * n + b]
+                if my == -1:
+                    continue
+                mxy = mul[add[x * n + y] * n + b]
+                if mxy != -1 and mxy != add[mx * n + my]:
+                    return False
+        return True
+
+    def dfs(pos: int) -> bool:
+        nonlocal nodes
+        if pos == N:
+            flat = tuple(mul)
+            if _aut_minimal(flat, n, auts):
+                results.append(flat)
+            return True
+        a, b = divmod(pos, n)
+        values = (first_value,) if pos == 0 and first_value is not None else rng
+        for v in values:
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return False
+            mul[pos] = v
+            if consistent(a, b) and not dfs(pos + 1):
+                mul[pos] = -1
+                return False
+            mul[pos] = -1
+        return True
+
+    completed = dfs(0)
+    return results, nodes, completed
+
+
+def search_inputs(n, reverse=False):
+    """(add_flat, auts) for every canonical reduct of order n, as the
+    general enumeration builds them. With `reverse`, each reduct is
+    relabelled by x -> n-1-x first, so the top is the last label and a
+    cell (a, y + z) can be filled after (a, y) and (a, z)."""
+    identity = tuple(range(n))
+    for add in canonical_semilattices(n):
+        if reverse:
+            add = relabel(FiniteAlgebra(n, add, add), identity[::-1]).add
+        auts = tuple(p for p in automorphisms((add,), n) if p != identity)
+        yield tuple(x for row in add for x in row), auts
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["canonical", "reversed"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mul_search_matches_reference(n, reverse):
+    for add_flat, auts in search_inputs(n, reverse):
+        for v in range(n):
+            got = _mul_search(add_flat, n, auts, v, None)
+            assert got == reference_mul_search(add_flat, n, auts, v, None), (add_flat, v)
+
+
+@pytest.mark.parametrize("budget", [1, 50, 500])
+def test_mul_search_matches_reference_under_node_budget(budget):
+    for add_flat, auts in search_inputs(4):
+        for v in range(4):
+            got = _mul_search(add_flat, 4, auts, v, budget)
+            assert got == reference_mul_search(add_flat, 4, auts, v, budget), (add_flat, v)
+
+
+def idempotent_maps(n):
+    return [
+        f
+        for f in itertools.product(range(n), repeat=n)
+        if all(f[f[x]] == f[x] for x in range(n))
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_endomorphisms_match_brute_force(n):
+    # filtering the idempotent maps keeps itertools.product's
+    # lexicographic order, so the tuples must agree element by element
+    maps = idempotent_maps(n)
+    rng = range(n)
+    for add in canonical_semilattices(n):
+        brute = tuple(
+            f
+            for f in maps
+            if all(f[add[x][y]] == add[f[x]][f[y]] for x in rng for y in rng)
+        )
+        assert _idempotent_additive_endos(add) == brute, add
