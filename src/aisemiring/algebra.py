@@ -159,15 +159,20 @@ def verify_axioms(a: FiniteAlgebra) -> AxiomReport:
             if add[x][y] != add[y][x]:
                 fail("commutative_add", (x, y))
     for x in rng:
+        add_x, mul_x = add[x], mul[x]
         for y in rng:
+            add_y, mul_y = add[y], mul[y]
+            # rows indexed by x + y and xy, fixed across the z loop
+            add_xy, mul_xy = add[add_x[y]], mul[mul_x[y]]
+            mul_sum, add_prod = mul[add_x[y]], add[mul_x[y]]
             for z in rng:
-                if add[add[x][y]][z] != add[x][add[y][z]]:
+                if add_xy[z] != add_x[add_y[z]]:
                     fail("associative_add", (x, y, z))
-                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+                if mul_xy[z] != mul_x[mul_y[z]]:
                     fail("associative_mul", (x, y, z))
-                if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]:
+                if mul_x[add_y[z]] != add_prod[mul_x[z]]:
                     fail("left_distributive", (x, y, z))
-                if mul[add[x][y]][z] != add[mul[x][z]][mul[y][z]]:
+                if mul_sum[z] != add[mul_x[z]][mul_y[z]]:
                     fail("right_distributive", (x, y, z))
     return AxiomReport(witnesses=witnesses, **flags)
 

@@ -27,6 +27,8 @@ from .enumeration import ENUMERATORS, count_restricted_union, enumerate_ai_semir
 from .satisfaction import satisfies
 from .terms import TermSyntaxError, parse_identities, parse_identity
 from .variety import (
+    DEFAULT_CELL_LIMIT,
+    DEFAULT_CLOSURE_LIMIT,
     EQUAL,
     LatticeIncompleteError,
     VarietySpec,
@@ -432,39 +434,22 @@ def _figure1_claims(lat, expected_edges, expected_atoms, dual_mode: bool):
             ", ".join(sorted(labels[i] for i in lat.atoms())),
         ),
     ]
+    # the lattice's top: V(S4_475), or its dual
+    top = next(s for s, col in zip(lat.specs, zip(*lat.leq)) if all(col))
     g = catalog.get
     big = VarietySpec("S58,N2", (g("S58"), g("N2")))
-    top = VarietySpec("S4_475", (g("S4_475"),))
+    name = "V(S4_475) equals V(S58,N2)"
+    if dual_mode:
+        big = _dual_spec(big, "S56,N2")
+        name = "V(dual S4_475) equals V(S56,N2)"
+    verdict = compare(top, big)
+    claims.append((name, verdict == EQUAL, verdict))
     if not dual_mode:
-        claims.append(
-            (
-                "V(S4_475) equals V(S58,N2)",
-                compare(top, big) == EQUAL,
-                compare(top, big),
-            )
-        )
-        claims.append(
-            ("S58 is in the top variety", member(g("S58"), top).member, "member")
-        )
-        claims.append(
-            ("N2 is in the top variety", member(g("N2"), top).member, "member")
-        )
-        claims.append(
-            (
-                "S4_475 is in V(S58,N2)",
-                member(g("S4_475"), big).member,
-                "member",
-            )
-        )
-    else:
-        top, big = _dual_spec(top, "C"), _dual_spec(big, "S56,N2")
-        claims.append(
-            (
-                "V(dual S4_475) equals V(S56,N2)",
-                compare(top, big) == EQUAL,
-                compare(top, big),
-            )
-        )
+        claims += [
+            ("S58 is in the top variety", member(g("S58"), top).member, "member"),
+            ("N2 is in the top variety", member(g("N2"), top).member, "member"),
+            ("S4_475 is in V(S58,N2)", member(g("S4_475"), big).member, "member"),
+        ]
     return claims
 
 
@@ -528,8 +513,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+def _add_common(p: argparse.ArgumentParser, formats=("text", "json")):
+    p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--workers", type=_positive_int, default=1)
 
 
@@ -575,16 +560,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="variety membership")
     p.add_argument("--algebra", required=True)
     p.add_argument("--variety", required=True, help="comma-separated generators")
-    p.add_argument("--closure-limit", type=int, default=10**7)
-    p.add_argument("--cell-limit", type=int, default=10**7)
+    p.add_argument("--closure-limit", type=int, default=DEFAULT_CLOSURE_LIMIT)
+    p.add_argument("--cell-limit", type=int, default=DEFAULT_CELL_LIMIT)
     _add_common(p)
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("free", help="relatively free algebra with witnesses")
     p.add_argument("--variety", required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--closure-limit", type=int, default=10**7)
-    p.add_argument("--cell-limit", type=int, default=10**7)
+    p.add_argument("--closure-limit", type=int, default=DEFAULT_CLOSURE_LIMIT)
+    p.add_argument("--cell-limit", type=int, default=DEFAULT_CELL_LIMIT)
     _add_common(p)
     p.set_defaults(func=cmd_free)
 
@@ -597,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="inclusion lattice of variety specs")
     p.add_argument("--specs", nargs="*")
     p.add_argument("--dot-out")
-    _add_common(p)
+    _add_common(p, ("text", "json", "dot"))
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("classify", help="which of the ten subvarieties is generated")
@@ -618,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure1", help="verify the ten-variety lattice report")
     p.add_argument("--dual", action="store_true")
     p.add_argument("--dot-out")
-    _add_common(p)
+    _add_common(p, ("text", "json", "dot"))
     p.set_defaults(func=cmd_figure1)
 
     return parser

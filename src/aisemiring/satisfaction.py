@@ -76,10 +76,6 @@ def satisfies(
     return SatisfactionResult(True)
 
 
-def satisfies_all(a: FiniteAlgebra, idents, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> bool:
-    return all(satisfies(a, i, budget).holds for i in idents)
-
-
 # ---------------------------------------------------------------------------
 # structural satisfaction for the two-element algebras
 

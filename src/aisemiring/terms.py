@@ -86,11 +86,6 @@ class TermNF:
     def contains(self, other: "TermNF") -> bool:
         return set(other.words) <= set(self.words)
 
-    def without(self, words: Iterable[Word]) -> "TermNF":
-        """Drop the given words; the remainder must stay nonempty."""
-        drop = set(words)
-        return TermNF(w for w in self.words if w not in drop)
-
     def __str__(self) -> str:
         return "+".join(word_str(w) for w in self.words)
 

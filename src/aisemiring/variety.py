@@ -248,19 +248,19 @@ _universe_cache: dict[tuple, _Universe] = {}
 
 
 def _universe(
-    generators: tuple[FiniteAlgebra, ...],
+    spec: VarietySpec,
     k: int,
     closure_limit: int = DEFAULT_CLOSURE_LIMIT,
     cell_limit: int = DEFAULT_CELL_LIMIT,
 ) -> _Universe:
-    key = (tuple((g.order, g.add, g.mul) for g in generators), k)
-    width = sum(g.order**k for g in generators)
+    key = (spec.key(), k)
+    width = sum(g.order**k for g in spec.generators)
     if width * max(1, k) > cell_limit:
         raise ResourceBudgetError(
             f"evaluation vectors of length {width} exceed the cell budget"
         )
     if key not in _universe_cache:
-        _universe_cache[key] = _Universe(generators, k, closure_limit, cell_limit)
+        _universe_cache[key] = _Universe(spec.generators, k, closure_limit, cell_limit)
     uni = _universe_cache[key]
     # enforce the caller's budget even when the closure is already cached,
     # so budget errors do not depend on call order
@@ -293,9 +293,11 @@ def free_algebra(
     closure_limit: int = DEFAULT_CLOSURE_LIMIT,
     cell_limit: int = DEFAULT_CELL_LIMIT,
 ) -> FreeAlgebraResult:
+    """Rank-k relatively free algebra of V(spec) with witnesses; its axioms
+    are checked only up to order 100 (an O(n^3) check), not above."""
     if k < 1:
         raise ValueError("rank must be positive")
-    uni = _universe(spec.generators, k, closure_limit, cell_limit)
+    uni = _universe(spec, k, closure_limit, cell_limit)
     algebra = FiniteAlgebra(
         uni.size, uni.add_tab, uni.mul_tab, f"F({spec.label},{k})"
     )
@@ -347,7 +349,7 @@ def member(
     """
     a.validate()
     k = a.order
-    uni = _universe(spec.generators, k, closure_limit, cell_limit)
+    uni = _universe(spec, k, closure_limit, cell_limit)
     cache_key = ((a.order, a.add, a.mul), spec.key())
     hit = _member_cache.get(cache_key)
     if hit is not None:
@@ -421,6 +423,25 @@ class LatticeIncompleteError(ValueError):
     offending pair as evidence."""
 
 
+def _inclusion(specs, **budgets) -> tuple[tuple[bool, ...], ...]:
+    """leq[i][j] iff V(specs[i]) is contained in V(specs[j]), one
+    `compare` per unordered pair; two specs generating the same variety
+    raise LatticeIncompleteError."""
+    m = len(specs)
+    leq = [[i == j for j in range(m)] for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            verdict = compare(specs[i], specs[j], **budgets)
+            if verdict == EQUAL:
+                raise LatticeIncompleteError(
+                    f"specs {specs[i].label!r} and {specs[j].label!r} "
+                    "generate the same variety"
+                )
+            leq[i][j] = verdict == LEFT_IN_RIGHT
+            leq[j][i] = verdict == RIGHT_IN_LEFT
+    return tuple(map(tuple, leq))
+
+
 @dataclass(frozen=True)
 class VarietyLattice:
     specs: tuple[VarietySpec, ...]
@@ -453,31 +474,7 @@ def build_lattice(specs: list[VarietySpec], **budgets) -> VarietyLattice:
     LatticeIncompleteError with the offending pair.
     """
     m = len(specs)
-    rel = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                rel[i][j] = EQUAL
-            elif j > i:
-                rel[i][j] = compare(specs[i], specs[j], **budgets)
-            else:
-                flipped = {
-                    EQUAL: EQUAL,
-                    LEFT_IN_RIGHT: RIGHT_IN_LEFT,
-                    RIGHT_IN_LEFT: LEFT_IN_RIGHT,
-                    INCOMPARABLE: INCOMPARABLE,
-                }
-                rel[i][j] = flipped[rel[j][i]]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if rel[i][j] == EQUAL:
-                raise LatticeIncompleteError(
-                    f"specs {specs[i].label!r} and {specs[j].label!r} "
-                    "generate the same variety"
-                )
-    leq = tuple(
-        tuple(rel[i][j] in (EQUAL, LEFT_IN_RIGHT) for j in range(m)) for i in range(m)
-    )
+    leq = _inclusion(specs, **budgets)
 
     hasse = []
     for i in range(m):
@@ -501,11 +498,7 @@ def build_lattice(specs: list[VarietySpec], **budgets) -> VarietyLattice:
                 join_table[i][j] = join_table[j][i] = i
                 continue
             upper = [t for t in range(m) if leq[i][t] and leq[j][t]]
-            least = None
-            for t in upper:
-                if all(leq[t][s] for s in upper):
-                    least = t
-                    break
+            least = next((t for t in upper if all(leq[t][s] for s in upper)), None)
             merged = VarietySpec(
                 f"{specs[i].label}+{specs[j].label}",
                 specs[i].generators + specs[j].generators,
@@ -521,11 +514,7 @@ def build_lattice(specs: list[VarietySpec], **budgets) -> VarietyLattice:
     for i in range(m):
         for j in range(m):
             lower = [t for t in range(m) if leq[t][i] and leq[t][j]]
-            best = None
-            for t in lower:
-                if all(leq[s][t] for s in lower):
-                    best = t
-                    break
+            best = next((t for t in lower if all(leq[s][t] for s in lower)), None)
             if best is None:
                 raise LatticeIncompleteError(
                     f"meet of {specs[i].label!r} and {specs[j].label!r} "
@@ -572,23 +561,35 @@ def standard_subvariety_specs() -> list[VarietySpec]:
     ]
 
 
-# Expected satisfaction pattern on (L, N, T, lt03, lnt02) for each of the
-# ten varieties; an algebra in the row-constant class must land on one
-# of these.
-CLASSIFICATION_PATTERNS: dict[tuple[bool, ...], str] = {
-    (True, True, True, True, True): "T",
-    (False, True, True, True, True): "V(L2)",
-    (True, False, True, False, True): "V(N2)",
-    (True, True, False, True, True): "V(T2)",
-    (False, False, True, False, True): "V(L2,N2)",
-    (True, False, False, False, True): "V(N2,T2)",
-    (False, True, False, True, True): "V(L2,T2)",
-    (False, False, False, False, True): "V(L2,N2,T2)",
-    (False, True, False, False, False): "V(S58)",
-    (False, False, False, False, False): "R",
-}
-
 _PATTERN_LABELS = ("L", "N", "T", "lt03", "lnt02")
+
+
+def _pattern(algebras) -> tuple[bool, ...]:
+    """Which of the five separating identities hold in every algebra; on
+    a spec's generators, the pattern of the variety they generate, since
+    an identity holds in V(G) iff it holds in each member of G."""
+    return tuple(
+        all(satisfies(a, CATALOG[label][0]).holds for a in algebras)
+        for label in _PATTERN_LABELS
+    )
+
+
+def _pattern_index(specs) -> dict[tuple[bool, ...], int]:
+    """Spec index by generator pattern; two specs sharing a pattern raise
+    ValueError rather than overwrite each other."""
+    index: dict[tuple[bool, ...], int] = {}
+    for i, s in enumerate(specs):
+        j = index.setdefault(_pattern(s.generators), i)
+        if j != i:
+            raise ValueError(f"specs {specs[j].label!r} and {s.label!r} share a pattern")
+    return index
+
+
+@lru_cache(maxsize=1)
+def _standard():
+    """The ten standard specs, their inclusion order and pattern index."""
+    specs = tuple(standard_subvariety_specs())
+    return specs, _inclusion(specs), _pattern_index(specs)
 
 
 class ClassificationError(ValueError):
@@ -601,54 +602,34 @@ class ClassificationError(ValueError):
         self.algebra = algebra
 
 
-def classify_generated(a: FiniteAlgebra, cross_validate: bool = True) -> str:
+def classify_generated(a: FiniteAlgebra) -> str:
     """Label of the variety generated by a row-constant algebra.
 
-    Computes the satisfaction pattern on the five separating identities
-    and, unless disabled, cross-checks it against the least of the ten
-    standard specs containing the algebra by the membership test.
+    Matches its pattern on the five separating identities against the
+    standard specs' generator patterns, and always cross-checks the
+    label against the least standard spec containing the algebra by the
+    membership test; a pattern matching no spec, or a disagreement,
+    raises ClassificationError.
     """
     a.validate()
     if not satisfies(a, CATALOG["id0703"][0]).holds:
         raise ValueError("classification requires an algebra satisfying xy = xz")
-    pattern = tuple(
-        satisfies(a, CATALOG[label][0]).holds for label in _PATTERN_LABELS
-    )
-    label = CLASSIFICATION_PATTERNS.get(pattern)
-    if label is None:
+    specs, leq, by_pattern = _standard()
+    pattern = _pattern((a,))
+    found = by_pattern.get(pattern)
+    if found is None:
         raise ClassificationError(
             f"satisfaction pattern {pattern} on {_PATTERN_LABELS} matches none "
             "of the ten known subvarieties",
             a,
         )
-    if cross_validate:
-        specs = standard_subvariety_specs()
-        containing = [i for i, s in enumerate(specs) if member(a, s).member]
-        leq = _standard_inclusion()
-        least = None
-        for i in containing:
-            if all(leq[i][j] for j in containing):
-                least = i
-                break
-        if least is None or specs[least].label != label:
-            got = specs[least].label if least is not None else "none"
-            raise ClassificationError(
-                f"pattern route gives {label!r} but membership route gives {got!r}",
-                a,
-            )
+    label = specs[found].label
+    containing = [i for i, s in enumerate(specs) if member(a, s).member]
+    least = next((i for i in containing if all(leq[i][j] for j in containing)), None)
+    if least != found:
+        got = specs[least].label if least is not None else "none"
+        raise ClassificationError(
+            f"pattern route gives {label!r} but membership route gives {got!r}",
+            a,
+        )
     return label
-
-
-@lru_cache(maxsize=1)
-def _standard_inclusion() -> tuple[tuple[bool, ...], ...]:
-    specs = standard_subvariety_specs()
-    m = len(specs)
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            row.append(
-                i == j or compare(specs[i], specs[j]) in (EQUAL, LEFT_IN_RIGHT)
-            )
-        out.append(tuple(row))
-    return tuple(out)

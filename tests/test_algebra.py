@@ -9,9 +9,11 @@ import pytest
 from aisemiring import catalog
 from aisemiring.algebra import (
     AxiomError,
+    AxiomReport,
     Congruence,
     CongruenceError,
     FiniteAlgebra,
+    LAWS,
     TRIVIAL,
     TableFormatError,
     are_isomorphic,
@@ -40,6 +42,68 @@ def test_catalog_algebras_pass_axioms():
 
 def test_trivial_algebra_passes():
     assert verify_axioms(TRIVIAL).ok
+
+
+def reference_verify_axioms(a):
+    """`verify_axioms` as it was before its rows were hoisted out of the
+    inner loops: every law indexes the tables afresh for each tuple."""
+    n, add, mul = a.order, a.add, a.mul
+    flags = dict.fromkeys(LAWS, True)
+    witnesses = {}
+
+    def fail(law, witness):
+        if flags[law]:
+            flags[law] = False
+            witnesses[law] = witness
+
+    rng = range(n)
+    for x in rng:
+        if add[x][x] != x:
+            fail("idempotent_add", (x,))
+    for x in rng:
+        for y in rng:
+            if add[x][y] != add[y][x]:
+                fail("commutative_add", (x, y))
+    for x in rng:
+        for y in rng:
+            for z in rng:
+                if add[add[x][y]][z] != add[x][add[y][z]]:
+                    fail("associative_add", (x, y, z))
+                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+                    fail("associative_mul", (x, y, z))
+                if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]:
+                    fail("left_distributive", (x, y, z))
+                if mul[add[x][y]][z] != add[mul[x][z]][mul[y][z]]:
+                    fail("right_distributive", (x, y, z))
+    return AxiomReport(witnesses=witnesses, **flags)
+
+
+def single_cell_corruptions(a):
+    """Every algebra that differs from `a` in exactly one table cell."""
+    n = a.order
+    for which in ("add", "mul"):
+        for r in range(n):
+            for c in range(n):
+                for v in range(n):
+                    tables = {"add": [list(row) for row in a.add],
+                              "mul": [list(row) for row in a.mul]}
+                    if tables[which][r][c] == v:
+                        continue
+                    tables[which][r][c] = v
+                    yield FiniteAlgebra(n, tables["add"], tables["mul"])
+
+
+@pytest.mark.parametrize("name", catalog.builtin_names())
+def test_verify_axioms_matches_reference_on_single_cell_corruptions(name):
+    a = catalog.get(name)
+    assert verify_axioms(a) == reference_verify_axioms(a)
+    failing = 0
+    for b in single_cell_corruptions(a):
+        report = verify_axioms(b)
+        assert report == reference_verify_axioms(b), (name, b.add, b.mul)
+        failing += not report.ok
+    # most corruptions break some law, so the witnesses are exercised
+    assert a.order == 1 or failing > 0
 
 
 def test_malformed_tables_rejected():

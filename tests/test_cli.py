@@ -283,3 +283,18 @@ def test_workers_below_one_is_usage_error(capsys):
             main(["enumerate", "--order", "3", "--workers", bad])
         assert exc.value.code == 2
         assert "argument --workers: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--algebra", "builtin:S58", "--identity", "xy=xz"),
+        ("classify", "--algebra", "builtin:L2"),
+        ("member", "--algebra", "builtin:R2", "--variety", "builtin:S4_475"),
+    ],
+)
+def test_dot_format_only_for_lattice_and_figure1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "dot"])
+    assert exc.value.code == 2
+    assert "argument --format: invalid choice: 'dot'" in capsys.readouterr().err

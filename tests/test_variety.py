@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from aisemiring import catalog
+from aisemiring import catalog, variety
 from aisemiring.algebra import ResourceBudgetError, dual, relabel
 from aisemiring.enumeration import enumerate_ai_semirings, enumerate_row_constant
 from aisemiring.satisfaction import evaluate, satisfies
@@ -19,6 +19,8 @@ from aisemiring.variety import (
     classify_generated,
     compare,
     free_algebra,
+    _pattern,
+    _pattern_index,
     _universe,
     member,
     standard_subvariety_specs,
@@ -167,7 +169,7 @@ def reference_member(a, spec):
     derivations: a FIFO queue of (free element, value, derivation)
     triples, processed in the closure's sweep order. Returns (member,
     separating identity as text or None, assignment)."""
-    uni = _universe(spec.generators, a.order)
+    uni = _universe(spec, a.order)
     k = a.order
     assignment = {f"x{i + 1}": i for i in range(k)}
 
@@ -332,7 +334,53 @@ def test_classification_requires_row_constant_input():
 
 def test_classification_agrees_with_membership_for_order_3():
     for a in enumerate_row_constant(3).items:
-        classify_generated(a, cross_validate=True)
+        classify_generated(a)
+
+
+# satisfaction pattern on (L, N, T, lt03, lnt02) of each standard spec,
+# as the classification table listed it before it was derived
+PINNED_PATTERNS = {
+    "T": (True, True, True, True, True),
+    "V(L2)": (False, True, True, True, True),
+    "V(N2)": (True, False, True, False, True),
+    "V(T2)": (True, True, False, True, True),
+    "V(L2,N2)": (False, False, True, False, True),
+    "V(N2,T2)": (True, False, False, False, True),
+    "V(L2,T2)": (False, True, False, True, True),
+    "V(L2,N2,T2)": (False, False, False, False, True),
+    "V(S58)": (False, True, False, False, False),
+    "R": (False, False, False, False, False),
+}
+
+
+def test_generator_patterns_match_pinned_table():
+    specs = standard_subvariety_specs()
+    assert {s.label: _pattern(s.generators) for s in specs} == PINNED_PATTERNS
+
+
+def test_specs_sharing_a_pattern_are_rejected():
+    with pytest.raises(ValueError, match="'V\\(L2\\)' and 'V\\(L2,T\\)' share"):
+        _pattern_index([spec("V(L2)", "L2"), spec("V(L2,T)", "L2", "trivial")])
+
+
+def test_classification_compares_each_standard_pair_once(monkeypatch):
+    calls = []
+
+    def counting_compare(*args, **kwargs):
+        calls.append(args)
+        return compare(*args, **kwargs)
+
+    monkeypatch.setattr(variety, "compare", counting_compare)
+    variety._standard.cache_clear()
+    try:
+        for a in enumerate_row_constant(4).items:
+            classify_generated(a)
+        _, leq, _ = variety._standard()
+    finally:
+        variety._standard.cache_clear()
+    assert len(calls) == 45
+    # the same inclusion order build_lattice computes
+    assert leq == build_lattice(standard_subvariety_specs()).leq
 
 
 def test_budget_errors_are_not_answers():
