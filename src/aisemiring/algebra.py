@@ -321,14 +321,20 @@ def dual(a: FiniteAlgebra) -> FiniteAlgebra:
     return FiniteAlgebra(n, a.add, mul, name).validate()
 
 
+def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
+    """The permutation sending perm[x] back to x."""
+    inv = [0] * len(perm)
+    for x, px in enumerate(perm):
+        inv[px] = x
+    return tuple(inv)
+
+
 def relabel(a: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
     """Rename element x to perm[x] in both tables."""
     n = a.order
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation of the carrier")
-    inv = [0] * n
-    for x, px in enumerate(perm):
-        inv[px] = x
+    inv = _inverse(perm)
     add = [[perm[a.add[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
     mul = [[perm[a.mul[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
     return FiniteAlgebra(n, add, mul, a.name)
@@ -348,9 +354,7 @@ class CanonicalForm:
 
 
 def _flatten(tables: Sequence[Table], n: int, perm: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * n
-    for x, px in enumerate(perm):
-        inv[px] = x
+    inv = _inverse(perm)
     out = []
     for t in tables:
         for i in range(n):
@@ -378,12 +382,10 @@ def canonical_tables(tables: Sequence[Table], n: int) -> tuple[tuple[int, ...], 
         nonlocal best_key, best_perm
         r = len(chosen)
         if r == n:
-            perm = [0] * n
-            for new, old in enumerate(chosen):
-                perm[old] = new
+            perm = _inverse(chosen)  # chosen[new] = old
             key = _flatten(tables, n, perm)
-            if key < best_key or (key == best_key and tuple(perm) < best_perm):
-                best_key, best_perm = key, tuple(perm)
+            if key < best_key or (key == best_key and perm < best_perm):
+                best_key, best_perm = key, perm
             return
         pos = {old: new for new, old in enumerate(chosen)}
         for nxt in range(n):
@@ -427,9 +429,7 @@ def are_isomorphic(
     ca, cb = canonical_form(a), canonical_form(b)
     if ca.key != cb.key:
         return False, None
-    inv_b = [0] * b.order
-    for x, px in enumerate(cb.perm):
-        inv_b[px] = x
+    inv_b = _inverse(cb.perm)
     witness = tuple(inv_b[ca.perm[x]] for x in range(a.order))
     moved = relabel(a, witness)
     assert moved.add == b.add and moved.mul == b.mul

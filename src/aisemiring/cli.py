@@ -22,9 +22,10 @@ from .algebra import (
     dual,
     verify_axioms,
 )
+from .derive import DEFAULT_DEPTH, DEFAULT_NODE_BUDGET, DEFAULT_SIZE_FACTOR
 from .derive import derive_bounded, format_proof, proof_to_json_dict, replay_proof
 from .enumeration import ENUMERATORS, count_restricted_union, enumerate_ai_semirings
-from .satisfaction import satisfies
+from .satisfaction import DEFAULT_ASSIGNMENT_BUDGET, satisfies
 from .terms import TermSyntaxError, parse_identities, parse_identity
 from .variety import (
     DEFAULT_CELL_LIMIT,
@@ -373,11 +374,7 @@ def cmd_lattice(args) -> int:
 
 def cmd_classify(args) -> int:
     a = _load_algebra(args.algebra)
-    try:
-        label = classify_generated(a)
-    except ClassificationError as exc:
-        print(f"FINDING: {exc}", file=sys.stderr)
-        return FALSIFIED
+    label = classify_generated(a)
     _emit(
         {"algebra": a.name or args.algebra, "variety": label},
         args,
@@ -534,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True)
     p.add_argument("--identity")
     p.add_argument("--identities-file")
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int, default=DEFAULT_ASSIGNMENT_BUDGET)
     _add_common(p)
     p.set_defaults(func=cmd_check)
 
@@ -594,9 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", help="semicolon-separated identities")
     p.add_argument("--basis-file")
     p.add_argument("--target", required=True)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--size-factor", type=int, default=4)
-    p.add_argument("--node-budget", type=int, default=200_000)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--size-factor", type=int, default=DEFAULT_SIZE_FACTOR)
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     _add_common(p)
     p.set_defaults(func=cmd_derive)
 

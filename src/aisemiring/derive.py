@@ -24,15 +24,18 @@ from typing import Iterable, Sequence
 
 from .algebra import ResourceBudgetError
 from .terms import (
-    DecomposedPiece,
     Identity,
     TermNF,
     Word,
-    decompose_identity,
     parse_identity,
     substitute,
     word_str,
 )
+
+
+DEFAULT_DEPTH = 8
+DEFAULT_SIZE_FACTOR = 4
+DEFAULT_NODE_BUDGET = 200_000
 
 
 class DeriveError(ValueError):
@@ -339,9 +342,9 @@ def _normalize_basis(basis) -> tuple[tuple[str, Identity], ...]:
 def derive_bounded(
     basis: Iterable,
     target: Identity | str,
-    depth: int = 8,
-    size_factor: int = 4,
-    node_budget: int | None = 200_000,
+    depth: int = DEFAULT_DEPTH,
+    size_factor: int = DEFAULT_SIZE_FACTOR,
+    node_budget: int | None = DEFAULT_NODE_BUDGET,
 ) -> Proof | None:
     """Search for a replayable derivation of the target from the basis.
 
@@ -377,25 +380,48 @@ def derive_bounded(
             named, target, tuple(builder.steps), depth=len(links), nodes=search.nodes
         )
 
-    # sum decomposition fallback
-    pieces = decompose_identity(target)
-    proved: dict[tuple[TermNF, Word], list[ProofStep]] = {}
-    longest = 0
-    for piece in pieces:
-        if piece.trivial:
-            continue
-        extra = [
-            w for w in piece.identity.rhs.words if w not in set(piece.identity.lhs.words)
-        ]
-        links = search.chain(piece.identity.lhs, piece.identity.rhs, depth)
-        if links is None:
-            return None
-        longest = max(longest, len(links))
-        proved[(piece.identity.lhs, extra[0])] = links
+    # sum decomposition fallback: for each side, prove side = side + w for
+    # each word w of the other side and fold it into side = side + other
     builder = _Builder()
     side_ids = []
+    longest = 0
     for side, other in ((target.lhs, target.rhs), (target.rhs, target.lhs)):
-        side_ids.append(_assemble_side(builder, side, other, pieces, proved))
+        acc, acc_idx = side, None
+        for w in other.words:
+            word = TermNF([w])
+            enlarged = side + word
+            if enlarged == side:
+                continue
+            links = search.chain(side, enlarged, depth)
+            if links is None:
+                return None
+            longest = max(longest, len(links))
+            piece_idx = builder.chain_into_one([builder.add(s) for s in links])
+            if acc_idx is None:
+                acc_idx = piece_idx
+            else:
+                cong = builder.add(
+                    ProofStep(
+                        kind="add-congruence",
+                        result=Identity(acc, acc + word),
+                        premises=(piece_idx,),
+                        context=acc,
+                    )
+                )
+                acc_idx = builder.add(
+                    ProofStep(
+                        kind="transitivity",
+                        result=Identity(side, acc + word),
+                        premises=(acc_idx, cong),
+                    )
+                )
+            acc = acc + word
+        assert acc == side + other
+        if acc_idx is None:
+            acc_idx = builder.add(
+                ProofStep(kind="reflexivity", result=Identity(side, side + other))
+            )
+        side_ids.append(acc_idx)
     sym = builder.add(
         ProofStep(
             kind="symmetry",
@@ -414,49 +440,6 @@ def derive_bounded(
     return Proof(
         named, target, tuple(builder.steps), depth=longest, nodes=search.nodes
     )
-
-
-def _assemble_side(
-    builder: _Builder,
-    side: TermNF,
-    other: TermNF,
-    pieces: list[DecomposedPiece],
-    proved: dict,
-) -> int:
-    """Fold the absorption pieces of one side into side = side + other."""
-    whole = side + other
-    acc = side
-    acc_idx = None
-    for piece in pieces:
-        if piece.identity.lhs != side or piece.trivial:
-            continue
-        extra = [w for w in piece.identity.rhs.words if w not in set(side.words)][0]
-        links = proved[(side, extra)]
-        piece_idx = builder.chain_into_one([builder.add(s) for s in links])
-        if acc_idx is None:
-            acc_idx = piece_idx
-        else:
-            grown = acc + TermNF([extra])
-            cong = builder.add(
-                ProofStep(
-                    kind="add-congruence",
-                    result=Identity(acc, grown),
-                    premises=(piece_idx,),
-                    context=acc,
-                )
-            )
-            acc_idx = builder.add(
-                ProofStep(
-                    kind="transitivity",
-                    result=Identity(side, grown),
-                    premises=(acc_idx, cong),
-                )
-            )
-        acc = acc + TermNF([extra])
-    if acc_idx is None:
-        return builder.add(ProofStep(kind="reflexivity", result=Identity(side, whole)))
-    assert acc == whole
-    return acc_idx
 
 
 # ---------------------------------------------------------------------------

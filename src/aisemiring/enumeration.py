@@ -12,7 +12,9 @@ Three pipelines:
   reduct's automorphism group;
 * the row-constant class: multiplication x*y = f(x) with f an
   idempotent additive endomorphism of the reduct, enumerated as (reduct,
-  f) pairs up to reduct automorphism.
+  f) pairs up to reduct automorphism. The column-constant class (the
+  duals) and the constant class (f constant) are views of that one
+  stream, not enumerated again.
 
 The second and third pipelines are deliberately independent; for small
 orders each serves as the other's oracle. Emitted streams are sorted so
@@ -22,12 +24,13 @@ that every emitted table pair literally equals its canonical form.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .algebra import (
     FiniteAlgebra,
     Table,
+    _inverse,
     automorphisms,
     canonical_tables,
     dual,
@@ -132,9 +135,7 @@ def _reduct_automorphisms(add: Table) -> tuple[tuple[int, ...], ...]:
 
 def _aut_minimal(flat: tuple[int, ...], n: int, auts) -> bool:
     for perm in auts:
-        inv = [0] * n
-        for x, px in enumerate(perm):
-            inv[px] = x
+        inv = _inverse(perm)
         for i in range(n):
             ibase = inv[i] * n
             for j in range(n):
@@ -382,13 +383,6 @@ def _orbit_minimal_endos(add: Table) -> list[tuple[int, ...]]:
     return keep
 
 
-def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for x, px in enumerate(perm):
-        inv[px] = x
-    return tuple(inv)
-
-
 def _row_constant_algebra(add: Table, f: tuple[int, ...]) -> FiniteAlgebra:
     n = len(add)
     mul = tuple((f[i],) * n for i in range(n))
@@ -419,50 +413,44 @@ def enumerate_row_constant(n: int) -> EnumerationReport:
 
 
 def enumerate_column_constant(n: int) -> EnumerationReport:
-    """Duals of the row-constant class, re-canonicalized."""
-    _check_order(n, MAX_SEMILATTICE_ORDER)
+    """Duals x*y = f(y) of the row-constant class, in its order.
+
+    Each dual is already canonical, so nothing is relabelled. The add
+    table is canonical, so only the reduct's automorphisms keep it.
+    Under an automorphism p the dual becomes x*y = g(y) with
+    g = p f p^-1, whose flattening is g repeated n times: least exactly
+    when g is least, which is the condition `_orbit_minimal_endos`
+    already imposes on x*y = f(x). Sorting by f sorts by it too.
+    """
     started = time.perf_counter()
     report = enumerate_row_constant(n)
-    moved = []
-    for a in report.items:
-        d = dual(a)
-        key, perm = canonical_tables((d.add, d.mul), n)
-        moved.append((key, relabel(d, perm).renamed(None)))
-    moved.sort(key=lambda kv: kv[0])
-    algebras = tuple(a.validate() for _, a in moved)
-    return EnumerationReport(
-        order=n,
+    return replace(
+        report,
         class_name="column-constant",
-        count=len(algebras),
-        items=algebras,
+        items=tuple(dual(a) for a in report.items),
         elapsed=time.perf_counter() - started,
-        nodes=report.nodes,
-        complete=True,
     )
+
+
+def _constant_items(report: EnumerationReport) -> tuple[FiniteAlgebra, ...]:
+    return tuple(a for a in report.items if len({row[0] for row in a.mul}) == 1)
 
 
 def enumerate_constant_mul(n: int) -> EnumerationReport:
     """Algebras whose multiplication is a single constant: the overlap of
-    the row-constant and column-constant classes."""
-    _check_order(n, MAX_SEMILATTICE_ORDER)
+    the row-constant and column-constant classes.
+
+    They are the row-constant items with f = (c, ..., c), one per orbit
+    of the reduct's automorphisms: such an f is orbit-minimal exactly
+    when c is least in its orbit.
+    """
     started = time.perf_counter()
-    algebras = []
-    for add in canonical_semilattices(n):
-        auts = _reduct_automorphisms(add)
-        seen = set()
-        for c in range(n):
-            orbit_min = min(perm[c] for perm in auts)
-            if orbit_min in seen:
-                continue
-            seen.add(orbit_min)
-            mul = tuple((orbit_min,) * n for _ in range(n))
-            algebras.append(FiniteAlgebra(n, add, mul).validate())
-    algebras.sort(key=lambda a: (a.add, a.mul))
+    algebras = _constant_items(enumerate_row_constant(n))
     return EnumerationReport(
         order=n,
         class_name="both",
         count=len(algebras),
-        items=tuple(algebras),
+        items=algebras,
         elapsed=time.perf_counter() - started,
         nodes=len(algebras),
         complete=True,
@@ -516,8 +504,8 @@ def count_restricted_union(max_order: int) -> RestrictedUnionReport:
         raise ValueError("max_order must be between 1 and 5")
     rows = []
     for n in range(1, max_order + 1):
-        r = enumerate_row_constant(n).count
-        b = enumerate_constant_mul(n).count
+        report = enumerate_row_constant(n)
+        r, b = report.count, len(_constant_items(report))
         rows.append(
             RestrictedUnionRow(order=n, row_constant=r, column_constant=r, both=b)
         )

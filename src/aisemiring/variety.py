@@ -328,9 +328,6 @@ class MembershipResult:
         return self.member
 
 
-_member_cache: dict[tuple, MembershipResult] = {}
-
-
 def member(
     a: FiniteAlgebra,
     spec: VarietySpec,
@@ -349,16 +346,9 @@ def member(
     """
     a.validate()
     k = a.order
-    uni = _universe(spec, k, closure_limit, cell_limit)
-    cache_key = ((a.order, a.add, a.mul), spec.key())
-    hit = _member_cache.get(cache_key)
-    if hit is not None:
-        return hit
-    separating = _separating_identity(a, uni)
+    separating = _separating_identity(a, _universe(spec, k, closure_limit, cell_limit))
     assignment = {_variable(i): i for i in range(k)}
-    result = MembershipResult(separating is None, separating, assignment)
-    _member_cache[cache_key] = result
-    return result
+    return MembershipResult(separating is None, separating, assignment)
 
 
 def _separating_identity(a: FiniteAlgebra, uni: _Universe) -> Identity | None:

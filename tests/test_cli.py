@@ -1,12 +1,17 @@
 """Command-line surface: subcommands, exit statuses, formats."""
 
+import inspect
 import json
 import os
 
 import pytest
 
+from aisemiring import cli
 from aisemiring.cli import main
+from aisemiring.derive import derive_bounded
 from aisemiring.fileformat import load_one
+from aisemiring.satisfaction import satisfies
+from aisemiring.variety import ClassificationError, free_algebra, member
 
 
 def run(capsys, *argv):
@@ -298,3 +303,32 @@ def test_dot_format_only_for_lattice_and_figure1(capsys, argv):
         main([*argv, "--format", "dot"])
     assert exc.value.code == 2
     assert "argument --format: invalid choice: 'dot'" in capsys.readouterr().err
+
+
+def test_parser_defaults_match_library_signatures():
+    parser = cli.build_parser()
+    cases = [
+        (["check", "--algebra", "L2"], satisfies, ("budget",)),
+        (["derive", "--target", "x = x"], derive_bounded,
+         ("depth", "size_factor", "node_budget")),
+        (["member", "--algebra", "L2", "--variety", "L2"], member,
+         ("closure_limit", "cell_limit")),
+        (["free", "--variety", "L2", "--rank", "1"], free_algebra,
+         ("closure_limit", "cell_limit")),
+    ]
+    for argv, func, names in cases:
+        args = parser.parse_args(argv)
+        params = inspect.signature(func).parameters
+        for name in names:
+            assert getattr(args, name) == params[name].default, (argv[0], name)
+
+
+def test_classify_finding_exits_1(capsys, monkeypatch):
+    def unclassifiable(a):
+        raise ClassificationError(f"{a.name} matches no listed variety", a)
+
+    monkeypatch.setattr(cli, "classify_generated", unclassifiable)
+    code, out, err = run(capsys, "classify", "--algebra", "builtin:S58")
+    assert code == 1
+    assert out == ""
+    assert err == "FINDING: S58 matches no listed variety\n"

@@ -1,6 +1,8 @@
 """Bounded derivation search, proof replay, soundness."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -83,6 +85,35 @@ def test_decomposition_fallback_assembles():
     assert proof.steps[-1].result == parse_identity("x+y = x+y+xx+yy")
     assert replay_proof(proof) == (True, None)
     assert_sound_over_catalog(proof)
+
+
+# sha256 of json.dumps(proof_to_json_dict(proof), sort_keys=True), pinned
+# from the two-pass fallback that proved every piece before assembling
+FALLBACK_DIGESTS = {
+    ("x = x + xx", "x+y = x+y+xx+yy"):
+        "72bad0e9fad7f06f67344466613838e0c7f34a69a79aed603b8e7d925abfbaa5",
+    ("x = x + xx", "x+y+z = x+y+z+xx+yy+zz"):
+        "b7d427feec4724acc0c5a9de59f5a126f5fd6bd1048c13cdd8b477e4c82ccfe2",
+    ("x = x + xy", "x + y = x + y + xy + yx"):
+        "66890538ece7b564e1b04657c35de9efd5fe1149bce2d869cfaed884515f4b4b",
+    ("xy = xz", "xy + yx = xx + yy"):
+        "e37563c2440cb9583728f87f2f1c4a86ff8c9e755ec78400e7bb0b3b2ba975d2",
+    ("x = x + xx", "x + yy = x + xx + yy + yyyy"):
+        "aadfe987a368609cbd5cc19dbf57bafe9c8c992394494d7c26f68378040b57b8",
+    ("x = x + xy", "xx + y = y + yx + xx + xxx"):
+        "b56e8e7583dce7921f24ff71ac8e3bed645649c151de28e5cde2ea347482ebdb",
+}
+
+
+@pytest.mark.parametrize(("basis", "target"), list(FALLBACK_DIGESTS))
+def test_fallback_proofs_are_pinned(basis, target):
+    proof = derive_bounded([basis], target, depth=1)
+    assert proof.steps[-2].kind == "symmetry"  # the decomposition route
+    payload = json.dumps(proof_to_json_dict(proof), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == FALLBACK_DIGESTS[
+        (basis, target)
+    ]
+    assert replay_proof(proof) == (True, None)
 
 
 def test_manual_transcription_of_absorption_chain_replays():

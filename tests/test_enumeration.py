@@ -240,6 +240,23 @@ def test_constant_class_is_the_overlap():
         assert both == row & col
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_column_constant_and_constant_streams_are_canonical_and_sorted(n):
+    # canonical_tables is the old route: relabel each item to its key
+    row = enumerate_row_constant(n)
+    col, both = enumerate_column_constant(n), enumerate_constant_mul(n)
+    assert (col.nodes, both.nodes) == (row.nodes, both.count)
+    for report in (col, both):
+        flats = []
+        for a in report.items:
+            key, perm = canonical_tables((a.add, a.mul), n)
+            moved = relabel(a, perm)
+            assert (moved.add, moved.mul) == (a.add, a.mul)
+            flats.append(key)
+        assert flats == sorted(flats)
+        assert len(set(flats)) == len(flats)
+
+
 def test_cross_pipeline_row_constant_oracle():
     for n in (2, 3):
         general = [
