@@ -512,7 +512,12 @@ def _positive_int(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser, formats=("text", "json")):
     p.add_argument("--format", choices=formats, default="text")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="worker processes for enumerate; other subcommands accept and ignore it",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--out-dir")
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=_positive_int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_enumerate)
 
@@ -593,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--size-factor", type=int, default=DEFAULT_SIZE_FACTOR)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     _add_common(p)
     p.set_defaults(func=cmd_derive)
 

@@ -14,6 +14,13 @@ within the depth bound it falls back to the sum decomposition, proving
 each absorption piece separately and assembling the results with
 congruence and transitivity steps. Either way the result replays
 step by step, independently of the search.
+
+The search computes each candidate rewrite on plain word sets and
+caches a compact edge record per successor; it builds a `ProofStep`
+only for the steps of the chain it returns. It never calls the checked
+`_apply_occurrence`: its matched words are images of summands of the
+state, and a factor span is the matched slice, so those checks cannot
+fail there. `replay_proof` runs that checked rewrite on every step.
 """
 
 from __future__ import annotations
@@ -133,15 +140,12 @@ def _match_summands(pwords: tuple[Word, ...], subject: TermNF):
             yield sigma
 
 
-def _word_term(sigma: dict[str, Word]) -> dict[str, TermNF]:
-    return {v: TermNF([w]) for v, w in sigma.items()}
-
-
 def _apply_occurrence(
     state: TermNF, matched_instance: TermNF, replacement: TermNF, occ: Occurrence
 ) -> TermNF:
-    """Recompute the rewrite described by an occurrence; used both by the
-    searcher and, independently, by replay."""
+    """Recompute the rewrite described by an occurrence, checking that
+    the occurrence is really there; this is how replay re-executes an
+    axiom-instance step, independently of the search."""
     if occ.mode == "summands":
         if not state.contains(matched_instance):
             raise DeriveError("matched summands are not present in the term")
@@ -192,8 +196,7 @@ def _directed_rules(basis: Sequence[tuple[str, Identity]]) -> list[_Rule]:
     return rules
 
 
-def _fresh_assignments(rule: _Rule, sigma: dict[str, Word], candidates):
-    fresh = [v for v in rule.dst.variables() if v not in sigma]
+def _fresh_assignments(fresh: list[str], sigma: dict[str, Word], candidates):
     if not fresh:
         yield sigma
         return
@@ -203,11 +206,28 @@ def _fresh_assignments(rule: _Rule, sigma: dict[str, Word], candidates):
         yield extended
 
 
+def _image(words: Iterable[Word], sigma: dict[str, Word]) -> set[Word]:
+    """The words of a substitution instance under a word-valued sigma."""
+    return {tuple(c for v in w for c in sigma[v]) for w in words}
+
+
 def _successors(state: TermNF, rules, candidates, size_cap):
-    """Deterministically ordered (next_state, step) rewrites of state."""
+    """Deterministically ordered (next_state, edge) rewrites of state.
+
+    Each candidate is computed on word sets: the matched words M and the
+    replacement words R are images of the rule's words, and the next
+    state is (S - M) | R when the match is replaced, S | R when it is
+    kept. A factor match has {w} for M and R spliced into w. An edge is
+    the record (rule, sigma, mode, word, span, keep); `_step` turns it
+    into a ProofStep.
+    """
+    here = set(state.words)
     out = []
     seen = set()
     for rule in rules:
+        # a match binds exactly the variables of rule.src
+        bound = set(rule.src.variables())
+        fresh = [v for v in rule.dst.variables() if v not in bound]
         matches = []
         for sigma in _match_summands(rule.src.words, state):
             matches.append(("summands", sigma, None, None))
@@ -222,35 +242,38 @@ def _successors(state: TermNF, rules, candidates, size_cap):
                         for sigma in _match_word(pattern, w[i:j], {}):
                             matches.append(("factor", sigma, w, (i, j)))
         for mode, sigma, w, span in matches:
-            for full in _fresh_assignments(rule, sigma, candidates):
-                subst = _word_term(full)
-                matched = substitute(rule.src, subst)
-                replacement = substitute(rule.dst, subst)
+            for full in _fresh_assignments(fresh, sigma, candidates):
+                replacement = _image(rule.dst.words, full)
+                if mode == "summands":
+                    rest = here - _image(rule.src.words, full)
+                else:
+                    i, j = span
+                    replacement = {w[:i] + u + w[j:] for u in replacement}
+                    rest = here - {w}
                 for keep in (False, True):
-                    occ = Occurrence(
-                        mode=mode,
-                        keep=keep,
-                        matched=tuple(matched.words) if mode == "summands" else (),
-                        word=w,
-                        span=span,
-                    )
-                    try:
-                        new = _apply_occurrence(state, matched, replacement, occ)
-                    except DeriveError:
+                    words = (here if keep else rest) | replacement
+                    if words == here or sum(map(len, words)) > size_cap:
                         continue
-                    if new == state or new.size() > size_cap or new in seen:
+                    new = TermNF(words)
+                    if new in seen:
                         continue
                     seen.add(new)
-                    step = ProofStep(
-                        kind="axiom-instance",
-                        result=Identity(state, new),
-                        axiom=rule.label,
-                        direction=rule.direction,
-                        substitution=tuple(sorted(subst.items())),
-                        occurrence=occ,
-                    )
-                    out.append((new, step))
+                    out.append((new, (rule, full, mode, w, span, keep)))
     return out
+
+
+def _step(state: TermNF, new: TermNF, edge) -> ProofStep:
+    """The proof step of one edge that `_successors` found from state."""
+    rule, sigma, mode, w, span, keep = edge
+    matched = TermNF(_image(rule.src.words, sigma)).words if mode == "summands" else ()
+    return ProofStep(
+        kind="axiom-instance",
+        result=Identity(state, new),
+        axiom=rule.label,
+        direction=rule.direction,
+        substitution=tuple(sorted((v, TermNF([u])) for v, u in sigma.items())),
+        occurrence=Occurrence(mode=mode, keep=keep, matched=matched, word=w, span=span),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,23 +307,24 @@ class _Search:
             best_seen: dict[TermNF, int] = {start: limit}
             path = self._dfs(start, goal, limit, best_seen)
             if path is not None:
-                return path
+                return [_step(*link) for link in path]
         return None
 
     def _dfs(self, state, goal, remaining, best_seen):
+        """A path of (state, next_state, edge) links to goal, or None."""
         successors = self.successors(state)
-        for new, step in successors:
+        for new, edge in successors:
             if new == goal:
-                return [step]
+                return [(state, new, edge)]
         if remaining <= 1:
             return None
-        for new, step in successors:
+        for new, edge in successors:
             if best_seen.get(new, -1) >= remaining - 1:
                 continue
             best_seen[new] = remaining - 1
             rest = self._dfs(new, goal, remaining - 1, best_seen)
             if rest is not None:
-                return [step] + rest
+                return [(state, new, edge)] + rest
         return None
 
 

@@ -333,6 +333,46 @@ def test_canonical_form_matches_naive_oracle():
         assert canonical_form(moved).key == canonical_form(a).key
 
 
+def _relabelled(tables, perm):
+    n = len(perm)
+    inv = [perm.index(x) for x in range(n)]
+    return tuple(
+        tuple(tuple(perm[t[inv[i]][inv[j]]] for j in range(n)) for i in range(n))
+        for t in tables
+    )
+
+
+def _assert_least_perm_breaks_ties(tables, n):
+    # relabelled inputs move the tie set (the isomorphisms onto the
+    # minimal tables); the brute force sees all n! candidates
+    for start in itertools.permutations(range(n)):
+        moved = _relabelled(tables, start)
+        keys = {
+            perm: tuple(x for t in _relabelled(moved, perm) for row in t for x in row)
+            for perm in itertools.permutations(range(n))
+        }
+        least = min(keys.values())
+        key, perm = canonical_tables(moved, n)
+        assert key == least
+        assert perm == min(p for p, k in keys.items() if k == least), (tables, start)
+
+
+def test_canonical_perm_is_least_among_ties():
+    from aisemiring.enumeration import enumerate_ai_semirings
+
+    algebras = [catalog.get(n) for n in catalog.builtin_names()]
+    for order in (1, 2, 3):
+        algebras.extend(enumerate_ai_semirings(order).items)
+    for a in algebras:
+        _assert_least_perm_breaks_ties((a.add, a.mul), a.order)
+    # On the algebras above, the first minimal relabelling the search
+    # meets is already the least one. This table's only nontrivial
+    # automorphism is (0 1)(2 3), and there the two differ.
+    _assert_least_perm_breaks_ties(
+        (((1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1), (0, 0, 0, 0)),), 4
+    )
+
+
 def test_canonical_form_orbit_invariance():
     a = catalog.get("S4_475")
     for perm in itertools.permutations(range(4)):

@@ -293,6 +293,23 @@ def test_workers_below_one_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("enumerate", "--order", "3", "--node-budget", "-3"),
+        ("derive", "--basis", "xy = xz", "--target", "xy = xx", "--node-budget", "-5"),
+        ("derive", "--basis", "xy = xz", "--target", "xy = xx", "--node-budget", "0"),
+    ],
+)
+def test_node_budget_below_one_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --node-budget: must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("check", "--algebra", "builtin:S58", "--identity", "xy=xz"),
         ("classify", "--algebra", "builtin:L2"),
         ("member", "--algebra", "builtin:R2", "--variety", "builtin:S4_475"),

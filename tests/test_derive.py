@@ -2,23 +2,32 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import pytest
 
-from aisemiring import catalog
+from aisemiring import catalog, derive
 from aisemiring.algebra import ResourceBudgetError
 from aisemiring.derive import (
+    DeriveError,
     Occurrence,
     Proof,
     ProofStep,
+    _apply_occurrence,
+    _directed_rules,
+    _match_summands,
+    _match_word,
+    _normalize_basis,
+    _step,
+    _successors,
     derive_bounded,
     format_proof,
     proof_to_json_dict,
     replay_proof,
 )
 from aisemiring.satisfaction import satisfies
-from aisemiring.terms import Identity, parse_identity, term_of
+from aisemiring.terms import Identity, TermNF, parse_identity, substitute, term_of
 
 
 def assert_sound_over_catalog(proof):
@@ -238,13 +247,19 @@ def test_other_displayed_absorption_chains():
         assert_sound_over_catalog(proof)
 
 
+def _generated(state, rules, candidates, size_cap):
+    """The generator's (next_state, step) pairs, every step built."""
+    return [
+        (new, _step(state, new, edge))
+        for new, edge in _successors(state, rules, candidates, size_cap)
+    ]
+
+
 def test_every_generated_rewrite_step_is_sound():
     # one-step soundness of the successor generator itself: whatever the
     # engine produces from a state must be an identity valid in every
-    # catalog algebra satisfying the basis
-    from aisemiring.derive import _directed_rules, _successors
-    from aisemiring.derive import _normalize_basis
-
+    # catalog algebra satisfying the basis, and the checked rewrite that
+    # replay runs must reproduce it from its step
     bases = (
         ["xy = xz"],
         ["xx = xx + yy", "xy = xz"],
@@ -263,9 +278,141 @@ def test_every_generated_rewrite_step_is_sound():
         assert models
         for text in starts:
             state = term_of(text)
-            for _, step in _successors(state, rules, ("x", "y", "z"), 16):
+            for new, step in _generated(state, rules, ("x", "y", "z"), 16):
+                assert step.result == Identity(state, new)
+                ident = dict(named)[step.axiom]
+                src, dst = (
+                    (ident.lhs, ident.rhs)
+                    if step.direction == "lr"
+                    else (ident.rhs, ident.lhs)
+                )
+                sigma = dict(step.substitution)
+                rebuilt = _apply_occurrence(
+                    state,
+                    substitute(src, sigma),
+                    substitute(dst, sigma),
+                    step.occurrence,
+                )
+                assert rebuilt == new, (raw, text, str(step.result))
                 for a in models:
                     assert satisfies(a, step.result).holds, (raw, text, str(step.result))
+
+
+# ---------------------------------------------------------------------------
+# the word-set successor kernel against the generator it replaced
+
+
+def _word_term(sigma):
+    return {v: TermNF([w]) for v, w in sigma.items()}
+
+
+def _reference_fresh_assignments(rule, sigma, candidates):
+    fresh = [v for v in rule.dst.variables() if v not in sigma]
+    if not fresh:
+        yield sigma
+        return
+    for combo in itertools.product(candidates, repeat=len(fresh)):
+        extended = dict(sigma)
+        extended.update({v: (c,) for v, c in zip(fresh, combo)})
+        yield extended
+
+
+def reference_successors(state, rules, candidates, size_cap):
+    """The successor generator as it was before it worked on word sets:
+    every candidate goes through `substitute`, the checked
+    `_apply_occurrence` and a full ProofStep."""
+    out = []
+    seen = set()
+    for rule in rules:
+        matches = []
+        for sigma in _match_summands(rule.src.words, state):
+            matches.append(("summands", sigma, None, None))
+        if len(rule.src.words) == 1:
+            pattern = rule.src.words[0]
+            for w in state.words:
+                for i in range(len(w)):
+                    # a span must host one nonempty factor per pattern variable
+                    for j in range(i + len(pattern), len(w) + 1):
+                        if (i, j) == (0, len(w)):
+                            continue  # whole-word spans are summand matches
+                        for sigma in _match_word(pattern, w[i:j], {}):
+                            matches.append(("factor", sigma, w, (i, j)))
+        for mode, sigma, w, span in matches:
+            for full in _reference_fresh_assignments(rule, sigma, candidates):
+                subst = _word_term(full)
+                matched = substitute(rule.src, subst)
+                replacement = substitute(rule.dst, subst)
+                for keep in (False, True):
+                    occ = Occurrence(
+                        mode=mode,
+                        keep=keep,
+                        matched=tuple(matched.words) if mode == "summands" else (),
+                        word=w,
+                        span=span,
+                    )
+                    try:
+                        new = _apply_occurrence(state, matched, replacement, occ)
+                    except DeriveError:
+                        continue
+                    if new == state or new.size() > size_cap or new in seen:
+                        continue
+                    seen.add(new)
+                    step = ProofStep(
+                        kind="axiom-instance",
+                        result=Identity(state, new),
+                        axiom=rule.label,
+                        direction=rule.direction,
+                        substitution=tuple(sorted(subst.items())),
+                        occurrence=occ,
+                    )
+                    out.append((new, step))
+    return out
+
+
+# the refuted searches of the derive benchmark: (basis, target, depth),
+# each with the states it visits when run to exhaustion
+REFUTED = [
+    (["xy = x"], "xy = y", 5, 389),
+    (["xy = xz"], "xyz = zyx", 4, 311),
+    (["x = x + xx"], "xy = xy + yx", 4, 125),
+    (["x = x + xy"], "x = x + yx", 5, 109),
+    (["xx = x"], "xy = yx", 4, 133),
+]
+
+
+def _recorded_search(monkeypatch, basis, target, depth):
+    """Run derive_bounded to exhaustion and return the search it used."""
+    searches = []
+
+    class Recording(derive._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(derive, "_Search", Recording)
+    assert derive_bounded(basis, target, depth=depth, node_budget=None) is None
+    (search,) = searches
+    return search
+
+
+@pytest.mark.parametrize(("basis", "target", "depth", "nodes"), REFUTED)
+def test_refuted_search_node_counts_are_pinned(monkeypatch, basis, target, depth, nodes):
+    assert _recorded_search(monkeypatch, basis, target, depth).nodes == nodes
+
+
+@pytest.mark.parametrize(("basis", "target", "depth", "nodes"), REFUTED)
+def test_successors_match_the_reference_generator(
+    monkeypatch, basis, target, depth, nodes
+):
+    # one level shallower than the benchmark keeps the reference cheap
+    search = _recorded_search(monkeypatch, basis, target, depth - 1)
+    assert 0 < search.nodes < nodes
+    for state in search._succ_cache:
+        assert _generated(
+            state, search.rules, search.candidates, search.size_cap
+        ) == reference_successors(
+            state, search.rules, search.candidates, search.size_cap
+        )
 
 
 def test_factor_rewrite_inside_a_word():
