@@ -313,12 +313,20 @@ def congruence_quotient(a: FiniteAlgebra, c: Congruence) -> FiniteAlgebra:
 
 
 def dual(a: FiniteAlgebra) -> FiniteAlgebra:
-    """Same addition, transposed multiplication."""
+    """Same addition, transposed multiplication.
+
+    The six laws are self-dual: transposing keeps the additive laws and
+    associativity (x*y*z read backwards) and swaps the two distributive
+    laws. So the dual of a validated algebra is an ai-semiring, and it
+    takes over `a`'s passing report instead of checking the laws again.
+    """
     a.validate()
     n = a.order
     mul = [[a.mul[y][x] for y in range(n)] for x in range(n)]
     name = f"dual({a.name})" if a.name else None
-    return FiniteAlgebra(n, a.add, mul, name).validate()
+    out = FiniteAlgebra(n, a.add, mul, name)
+    out._report = a._report
+    return out
 
 
 def _inverse(perm: Sequence[int]) -> tuple[int, ...]:

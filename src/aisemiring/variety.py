@@ -17,6 +17,18 @@ whose combined carrier exceeds 16 elements fall back to a plain tuple
 representation. Either way the closure computes each product once:
 its sweep over pairs of elements records the operation tables as it
 discovers new elements.
+
+Classification into the ten subvarieties of R (the ai-semirings
+satisfying xy = xz) needs no closure. In R, xw = xx for every term w, so
+F_R(k) is the free semilattice on the 2k letters x_i, x_i x_i: every
+term is the join of a nonempty subset of them, and there are 4^k - 1
+elements. A subvariety V of R identifies the subsets whose joins have
+the same evaluation vector over V's generators; those vectors are built
+subset by subset, each one join from a smaller subset. A candidate in R
+generated by its k elements lies in V exactly when every subset's join
+takes the same value in it as its class's least subset does (see
+classify_generated). `member`, `compare`, `build_lattice` and
+`free_algebra` keep the closure, which serves any spec, in R or not.
 """
 
 from __future__ import annotations
@@ -54,15 +66,16 @@ def _variable(i: int) -> str:
     return f"x{i + 1}"
 
 
-class _Universe:
-    """The rank-k free algebra of V(generators), with witnesses.
+class _Vectors:
+    """Evaluation vectors of rank k over the generators: one entry per
+    assignment of the k variables in each generator, blocks in generator
+    order, assignments in lexicographic order.
 
-    Elements are indexed in discovery order of the deterministic
-    closure; `add_tab`/`mul_tab` are complete operation tables on those
-    indices.
+    Entries carry their generator's offset, so one pair table serves
+    every block.
     """
 
-    def __init__(self, generators, k, closure_limit, cell_limit):
+    def __init__(self, generators, k):
         self.k = k
         # (generator, offset of its letters, length of its block)
         self.blocks = blocks = []
@@ -80,11 +93,6 @@ class _Universe:
             self._add_pair, self._mul_pair = self._pair_tables()
         else:
             self._add_map, self._mul_map = self._pair_dicts()
-
-        seeds = self._seed_vectors()
-        self._close(seeds, closure_limit, cell_limit)
-
-    # -- vector construction -------------------------------------------------
 
     def _seed_vectors(self):
         seeds = []
@@ -129,6 +137,37 @@ class _Universe:
                     add[offset + a, offset + b] = offset + g.add[a][b]
                     mul[offset + a, offset + b] = offset + g.mul[a][b]
         return add, mul
+
+    def _code(self, u, v) -> bytes:
+        """Packed u and v with the pair (u_j, v_j) in byte j, the index
+        the pair tables read."""
+        code = int.from_bytes(u, "big") << 4 | int.from_bytes(v, "big")
+        return code.to_bytes(self.width, "big")
+
+    def add(self, u, v):
+        """u + v entry by entry."""
+        if self._packed:
+            return self._code(u, v).translate(self._add_pair)
+        return tuple(self._add_map[p] for p in zip(u, v))
+
+    def mul(self, u, v):
+        """uv entry by entry."""
+        if self._packed:
+            return self._code(u, v).translate(self._mul_pair)
+        return tuple(self._mul_map[p] for p in zip(u, v))
+
+
+class _Universe(_Vectors):
+    """The rank-k free algebra of V(generators), with witnesses.
+
+    Elements are indexed in discovery order of the deterministic
+    closure; `add_tab`/`mul_tab` are complete operation tables on those
+    indices.
+    """
+
+    def __init__(self, generators, k, closure_limit, cell_limit):
+        super().__init__(generators, k)
+        self._close(self._seed_vectors(), closure_limit, cell_limit)
 
     # -- closure --------------------------------------------------------------
 
@@ -582,6 +621,68 @@ def _standard():
     return specs, _inclusion(specs), _pattern_index(specs)
 
 
+# ---------------------------------------------------------------------------
+# the closed form of F_R(k)
+#
+# Subsets of the 2k letters x_1..x_k, x_1x_1..x_kx_k are bitmasks: bit i
+# stands for x_{i+1} and bit k + i for x_{i+1}x_{i+1}. Subset S stands for
+# the join of its letters, and every term in k variables equals such a
+# join in R (see classify_generated).
+
+
+def _subset_joins(letters, add) -> list:
+    """joins[S] for every subset S of the letters, joins[0] = None: one
+    join each, joins[S] = add(joins[S minus its lowest letter], that
+    letter), so no pairwise sweep is needed."""
+    joins = [None]
+    for subset in range(1, 1 << len(letters)):
+        low = subset & -subset
+        letter = letters[low.bit_length() - 1]
+        rest = subset ^ low
+        joins.append(add(joins[rest], letter) if rest else letter)
+    return joins
+
+
+def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
+    """rep[S] for every subset S of the 2k letters: the least subset
+    whose join has the same evaluation vector as S over the spec's
+    generators (rep[0] = 0 pads the empty subset).
+
+    Raises ValueError when a generator falsifies xy = xz, since the
+    letters then no longer span the free algebra.
+    """
+    for g in spec.generators:
+        if not satisfies(g, CATALOG["id0703"][0]).holds:
+            raise ValueError(f"generator {g!r} of {spec.label!r} falsifies xy = xz")
+    vectors = _Vectors(spec.generators, k)
+    seeds = vectors._seed_vectors()
+    joins = _subset_joins(seeds + [vectors.mul(x, x) for x in seeds], vectors.add)
+    first: dict = {}
+    return tuple(first.setdefault(vec, subset) for subset, vec in enumerate(joins))
+
+
+@lru_cache(maxsize=None)
+def _standard_closed_form(index: int, k: int) -> tuple[int, ...]:
+    """_closed_form of the standard spec at `index`; 4^k ints per entry,
+    and classify_generated's cell budget keeps k at most 5, so the ten
+    specs hold the cache to 50 entries."""
+    return _closed_form(_standard()[0][index], k)
+
+
+def _join_values(a: FiniteAlgebra) -> list:
+    """val[S]: the join of S's letters in `a` under x_i -> a_i."""
+    add, mul = a.add, a.mul
+    letters = [*range(a.order), *(mul[i][i] for i in range(a.order))]
+    return _subset_joins(letters, lambda x, y: add[x][y])
+
+
+def _closed_form_member(values: list, rep: tuple[int, ...]) -> bool:
+    """Whether the values from _join_values agree on each subset and its
+    representative, i.e. whether S = rep[S] holds in the candidate for
+    every S."""
+    return [values[r] for r in rep] == values
+
+
 class ClassificationError(ValueError):
     """An algebra's satisfaction pattern escapes the ten known
     subvarieties, or the two classification routes disagree; carries the
@@ -597,9 +698,26 @@ def classify_generated(a: FiniteAlgebra) -> str:
 
     Matches its pattern on the five separating identities against the
     standard specs' generator patterns, and always cross-checks the
-    label against the least standard spec containing the algebra by the
-    membership test; a pattern matching no spec, or a disagreement,
-    raises ClassificationError.
+    label against the least standard spec containing the algebra; a
+    pattern matching no spec, or a disagreement, raises
+    ClassificationError.
+
+    Membership goes through the closed form of F_R(k), k = |a|, and
+    builds no free-algebra closure. In R, xy = xz gives xw = xx for every
+    term w, so every word of length at least 2 equals x_i x_i for its
+    first letter x_i, and every term in k variables equals the join of
+    a nonempty subset S of the 2k letters x_i, x_i x_i. The generators of
+    every standard spec V lie in R, so V is a subvariety of R, and `a` is
+    in R by the check on xy = xz. `a` lies in V exactly when it satisfies
+    every k-variable identity of V, since a is generated by its k
+    elements (map x_i to a_i). Each such identity reduces in R to
+    S = T, which holds in V exactly when S and T have the same
+    evaluation vector over V's generators, that is, the same
+    representative. So `a` is in V exactly when S = rep[S] holds in `a`
+    under x_i -> a_i for every S: sound and complete, but only for
+    candidates and specs inside R. `member` keeps the closure for
+    general specs. The widest spec's (4^k - 1) x width vector cells are
+    checked against DEFAULT_CELL_LIMIT before any vector is built.
     """
     a.validate()
     if not satisfies(a, CATALOG["id0703"][0]).holds:
@@ -614,7 +732,19 @@ def classify_generated(a: FiniteAlgebra) -> str:
             a,
         )
     label = specs[found].label
-    containing = [i for i, s in enumerate(specs) if member(a, s).member]
+    k = a.order
+    width = max(sum(g.order**k for g in s.generators) for s in specs)
+    if (4**k - 1) * width > DEFAULT_CELL_LIMIT:
+        raise ResourceBudgetError(
+            f"closed-form vectors of {4**k - 1} joins x {width} entries "
+            "exceed the cell budget"
+        )
+    values = _join_values(a)
+    containing = [
+        i
+        for i in range(len(specs))
+        if _closed_form_member(values, _standard_closed_form(i, k))
+    ]
     least = next((i for i in containing if all(leq[i][j] for j in containing)), None)
     if least != found:
         got = specs[least].label if least is not None else "none"

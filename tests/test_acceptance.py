@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -191,24 +192,48 @@ def _row_constant_pool():
     return pool
 
 
+def _assert_exclusions(a):
+    """V(a) contains L2, N2, T2 exactly when a falsifies L, N, T."""
+    for name, label in (("L2", "L"), ("N2", "N"), ("T2", "T")):
+        contains = member(g(name), VarietySpec("V(A)", (a,))).member
+        excludes = satisfies(a, CATALOG[label][0]).holds
+        assert contains != excludes, (name, label, a.add, a.mul)
+
+
 def test_criterion_7_classification_and_exclusions():
     pool = _row_constant_pool()
-    exclusions = (
-        ("L2", "L"),
-        ("N2", "N"),
-        ("T2", "T"),
-    )
     for a in pool:
         # (a) pattern-based and membership-based classification agree
         # (classify_generated raises when either route escapes or differs)
         classify_generated(a)
         # (b) exclusion equivalences
-        for name, label in exclusions:
-            contains = member(g(name), VarietySpec("V(A)", (a,))).member
-            excludes = satisfies(a, CATALOG[label][0]).holds
-            assert contains != excludes, (name, label, a.add, a.mul)
+        _assert_exclusions(a)
     print(f"\nACCEPTANCE 7 PASS: {len(pool)} algebras classified consistently; "
           "all exclusion equivalences hold")
+
+
+# labels of the 362 row-constant algebras of order 5, self-measured by
+# classify_generated; the pattern and membership routes agree on each
+ORDER_5_LABELS = {
+    "V(L2)": 15,
+    "V(N2)": 5,
+    "V(T2)": 15,
+    "V(L2,N2)": 39,
+    "V(N2,T2)": 40,
+    "V(L2,T2)": 56,
+    "V(L2,N2,T2)": 59,
+    "V(S58)": 72,
+    "R": 61,
+}
+
+
+def test_criterion_7_order_5_classification_and_exclusions():
+    pool = enumerate_row_constant(5).items
+    assert Counter(classify_generated(a) for a in pool) == ORDER_5_LABELS
+    for a in pool:
+        _assert_exclusions(a)
+    print(f"\nACCEPTANCE 7 PASS (order 5): {len(pool)} algebras classified "
+          "consistently; all exclusion equivalences hold")
 
 
 def test_criterion_8_witness_constructions():

@@ -307,6 +307,27 @@ def test_dual_swaps_row_and_column_identities():
         assert satisfies(a, "xy = xz").holds == satisfies(dual(a), "yx = zx").holds
 
 
+def test_dual_takes_over_a_passing_report_that_holds(monkeypatch):
+    from aisemiring import algebra
+    from aisemiring.enumeration import enumerate_ai_semirings
+
+    algebras = [catalog.get(name) for name in catalog.builtin_names()]
+    algebras += [a for n in (1, 2, 3, 4) for a in enumerate_ai_semirings(n).items]
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return verify_axioms(a)
+
+    monkeypatch.setattr(algebra, "verify_axioms", counting)
+    for a in algebras:
+        a.validate()
+        calls.clear()
+        d = dual(a)
+        assert calls == [] and d.is_validated  # no law is checked again
+        assert verify_axioms(d).ok, (a.add, a.mul)
+
+
 def _naive_canonical(a):
     n = a.order
     best = None

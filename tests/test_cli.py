@@ -182,6 +182,21 @@ def test_classify(capsys):
     assert "V(S58)" in out
 
 
+def test_classify_order_6_exceeds_budget(tmp_path, capsys):
+    from aisemiring import catalog
+    from aisemiring.algebra import direct_product
+    from aisemiring.enumeration import enumerate_row_constant
+    from aisemiring.fileformat import dumps
+
+    a = direct_product(catalog.get("L2"), enumerate_row_constant(3).items[-1])
+    path = tmp_path / "order6.alg"
+    path.write_text(dumps(a))
+    code, out, err = run(capsys, "classify", "--algebra", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("resource budget exceeded: ")
+
+
 def test_derive_text(capsys):
     code, out, _ = run(
         capsys, "derive", "--basis", "xy = xz", "--target", "xy = xx"

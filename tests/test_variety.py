@@ -5,7 +5,7 @@ import random
 import pytest
 
 from aisemiring import catalog, variety
-from aisemiring.algebra import ResourceBudgetError, dual, relabel
+from aisemiring.algebra import ResourceBudgetError, direct_product, dual, relabel
 from aisemiring.enumeration import enumerate_ai_semirings, enumerate_row_constant
 from aisemiring.satisfaction import evaluate, satisfies
 from aisemiring.terms import Identity, TermNF
@@ -19,8 +19,12 @@ from aisemiring.variety import (
     classify_generated,
     compare,
     free_algebra,
+    _closed_form,
+    _closed_form_member,
+    _join_values,
     _pattern,
     _pattern_index,
+    _standard_closed_form,
     _universe,
     member,
     standard_subvariety_specs,
@@ -388,3 +392,64 @@ def test_budget_errors_are_not_answers():
         member(g("S4_475"), R_SPEC, cell_limit=10)
     with pytest.raises(ResourceBudgetError):
         free_algebra(R_SPEC, 2, closure_limit=2)
+
+
+def test_closed_form_agrees_with_member_up_to_order_4():
+    # the closure stays the oracle: every row-constant algebra of orders
+    # 1-4 and a relabelling of each, against all ten specs
+    rng = random.Random(9)
+    specs = standard_subvariety_specs()
+    members = checks = 0
+    for n in (1, 2, 3, 4):
+        for a in enumerate_row_constant(n).items:
+            moved = relabel(a, rng.sample(range(n), n))
+            for b in (a, moved):
+                values = _join_values(b)
+                for i, s in enumerate(specs):
+                    got = _closed_form_member(values, _standard_closed_form(i, n))
+                    assert got == member(b, s).member, (b.add, b.mul, s.label)
+                    members += got
+                    checks += 1
+    assert checks == 2 * (1 + 3 + 12 + 60) * 10
+    assert 0 < members < checks
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_closed_form_of_r_separates_every_subset(k):
+    # F_R(k) has one element per nonempty subset of the 2k letters, and
+    # S4_475 tells all of them apart: every subset is its own representative
+    assert free_algebra(R_SPEC, k).algebra.order == 4**k - 1
+    assert _closed_form(R_SPEC, k) == tuple(range(4**k))
+
+
+def test_closed_form_rejects_generators_outside_r():
+    assert not satisfies(g("R2"), "xy = xz").holds
+    with pytest.raises(ValueError, match="falsifies xy = xz"):
+        _closed_form(spec("V(R2)", "R2"), 2)
+    with pytest.raises(ValueError, match="falsifies xy = xz"):
+        _closed_form(spec("V(S4_475,R2)", "S4_475", "R2"), 1)
+
+
+def test_classification_builds_no_closure(monkeypatch):
+    variety._standard()  # the inclusion order still compares by closure
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify_generated reached the closure")
+
+    monkeypatch.setattr(variety, "member", refuse)
+    monkeypatch.setattr(variety, "_universe", refuse)
+    for a in enumerate_row_constant(4).items:
+        classify_generated(a)
+
+
+def test_classification_budget_at_order_6_is_raised_before_any_vector(monkeypatch):
+    a = direct_product(g("L2"), enumerate_row_constant(3).items[-1])
+    assert a.order == 6 and satisfies(a, "xy = xz").holds
+    variety._standard()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a vector was built")
+
+    monkeypatch.setattr(variety._Vectors, "__init__", refuse)
+    with pytest.raises(ResourceBudgetError, match="cell budget"):
+        classify_generated(a)
