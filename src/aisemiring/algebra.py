@@ -129,11 +129,6 @@ class FiniteAlgebra:
             raise AxiomError(report, self.name)
         return self
 
-    def renamed(self, name: str | None) -> "FiniteAlgebra":
-        other = FiniteAlgebra(self.order, self.add, self.mul, name)
-        other._report = self._report
-        return other
-
 
 def verify_axioms(a: FiniteAlgebra) -> AxiomReport:
     """Exhaustively check the six defining laws.

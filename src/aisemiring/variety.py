@@ -27,8 +27,9 @@ the same evaluation vector over V's generators; those vectors are built
 subset by subset, each one join from a smaller subset. A candidate in R
 generated by its k elements lies in V exactly when every subset's join
 takes the same value in it as its class's least subset does (see
-classify_generated). `member`, `compare`, `build_lattice` and
-`free_algebra` keep the closure, which serves any spec, in R or not.
+classify_generated); the same test on their generators orders the ten
+specs. `member`, `compare`, `build_lattice` and `free_algebra` keep the
+closure, which serves any spec, in R or not.
 """
 
 from __future__ import annotations
@@ -255,7 +256,6 @@ class _Universe(_Vectors):
                     mul_tab[j].append(q)
             pos += 1
         self.vectors = vectors
-        self.index = index
         self._parents = parents
         self._witnesses: dict[int, TermNF] = {}
         self.add_tab = add_tab
@@ -452,25 +452,6 @@ class LatticeIncompleteError(ValueError):
     offending pair as evidence."""
 
 
-def _inclusion(specs, **budgets) -> tuple[tuple[bool, ...], ...]:
-    """leq[i][j] iff V(specs[i]) is contained in V(specs[j]), one
-    `compare` per unordered pair; two specs generating the same variety
-    raise LatticeIncompleteError."""
-    m = len(specs)
-    leq = [[i == j for j in range(m)] for i in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            verdict = compare(specs[i], specs[j], **budgets)
-            if verdict == EQUAL:
-                raise LatticeIncompleteError(
-                    f"specs {specs[i].label!r} and {specs[j].label!r} "
-                    "generate the same variety"
-                )
-            leq[i][j] = verdict == LEFT_IN_RIGHT
-            leq[j][i] = verdict == RIGHT_IN_LEFT
-    return tuple(map(tuple, leq))
-
-
 @dataclass(frozen=True)
 class VarietyLattice:
     specs: tuple[VarietySpec, ...]
@@ -503,7 +484,17 @@ def build_lattice(specs: list[VarietySpec], **budgets) -> VarietyLattice:
     LatticeIncompleteError with the offending pair.
     """
     m = len(specs)
-    leq = _inclusion(specs, **budgets)
+    leq = [[i == j for j in range(m)] for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            verdict = compare(specs[i], specs[j], **budgets)
+            if verdict == EQUAL:
+                raise LatticeIncompleteError(
+                    f"specs {specs[i].label!r} and {specs[j].label!r} "
+                    "generate the same variety"
+                )
+            leq[i][j] = verdict == LEFT_IN_RIGHT
+            leq[j][i] = verdict == RIGHT_IN_LEFT
 
     hasse = []
     for i in range(m):
@@ -560,7 +551,7 @@ def build_lattice(specs: list[VarietySpec], **budgets) -> VarietyLattice:
     )
     return VarietyLattice(
         specs=tuple(specs),
-        leq=leq,
+        leq=tuple(map(tuple, leq)),
         hasse_edges=tuple(sorted(hasse)),
         join_table=tuple(tuple(row) for row in join_table),
         meet_table=tuple(tuple(row) for row in meet_table),
@@ -614,13 +605,6 @@ def _pattern_index(specs) -> dict[tuple[bool, ...], int]:
     return index
 
 
-@lru_cache(maxsize=1)
-def _standard():
-    """The ten standard specs, their inclusion order and pattern index."""
-    specs = tuple(standard_subvariety_specs())
-    return specs, _inclusion(specs), _pattern_index(specs)
-
-
 # ---------------------------------------------------------------------------
 # the closed form of F_R(k)
 #
@@ -643,10 +627,14 @@ def _subset_joins(letters, add) -> list:
     return joins
 
 
+@lru_cache(maxsize=None)
 def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
     """rep[S] for every subset S of the 2k letters: the least subset
     whose join has the same evaluation vector as S over the spec's
     generators (rep[0] = 0 pads the empty subset).
+
+    Cached by spec and rank, 4^k ints per entry; classification asks for
+    the ten standard specs at ranks up to 5, so at most 50 entries.
 
     Raises ValueError when a generator falsifies xy = xz, since the
     letters then no longer span the free algebra.
@@ -661,14 +649,6 @@ def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
     return tuple(first.setdefault(vec, subset) for subset, vec in enumerate(joins))
 
 
-@lru_cache(maxsize=None)
-def _standard_closed_form(index: int, k: int) -> tuple[int, ...]:
-    """_closed_form of the standard spec at `index`; 4^k ints per entry,
-    and classify_generated's cell budget keeps k at most 5, so the ten
-    specs hold the cache to 50 entries."""
-    return _closed_form(_standard()[0][index], k)
-
-
 def _join_values(a: FiniteAlgebra) -> list:
     """val[S]: the join of S's letters in `a` under x_i -> a_i."""
     add, mul = a.add, a.mul
@@ -681,6 +661,28 @@ def _closed_form_member(values: list, rep: tuple[int, ...]) -> bool:
     representative, i.e. whether S = rep[S] holds in the candidate for
     every S."""
     return [values[r] for r in rep] == values
+
+
+@lru_cache(maxsize=1)
+def _standard():
+    """The ten standard specs, their inclusion order and pattern index.
+
+    leq[i][j] iff each generator g of specs[i] lies in V(specs[j]); g is
+    in R and generated by its |g| elements, so the closed form at rank
+    |g| decides it (see classify_generated) without a closure.
+    """
+    specs = tuple(standard_subvariety_specs())
+    leq = tuple(
+        tuple(
+            all(
+                _closed_form_member(_join_values(g), _closed_form(t, g.order))
+                for g in s.generators
+            )
+            for t in specs
+        )
+        for s in specs
+    )
+    return specs, leq, _pattern_index(specs)
 
 
 class ClassificationError(ValueError):
@@ -715,9 +717,11 @@ def classify_generated(a: FiniteAlgebra) -> str:
     evaluation vector over V's generators, that is, the same
     representative. So `a` is in V exactly when S = rep[S] holds in `a`
     under x_i -> a_i for every S: sound and complete, but only for
-    candidates and specs inside R. `member` keeps the closure for
-    general specs. The widest spec's (4^k - 1) x width vector cells are
-    checked against DEFAULT_CELL_LIMIT before any vector is built.
+    candidates and specs inside R. The order that picks the least such V
+    comes from the same test (see _standard), so even a cold call builds
+    no closure; `member` keeps it for general specs. The widest spec's
+    (4^k - 1) x width vector cells are checked against
+    DEFAULT_CELL_LIMIT before any vector is built.
     """
     a.validate()
     if not satisfies(a, CATALOG["id0703"][0]).holds:
@@ -743,7 +747,7 @@ def classify_generated(a: FiniteAlgebra) -> str:
     containing = [
         i
         for i in range(len(specs))
-        if _closed_form_member(values, _standard_closed_form(i, k))
+        if _closed_form_member(values, _closed_form(specs[i], k))
     ]
     least = next((i for i in containing if all(leq[i][j] for j in containing)), None)
     if least != found:

@@ -138,7 +138,7 @@ def test_criterion_2_restricted_union_789():
 
 
 def test_criterion_3_cross_pipeline_oracle_equivalence():
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         items = general(n).items
         row_general = [a for a in items if satisfies(a, "xy = xz").holds]
         col_general = [a for a in items if satisfies(a, "yx = zx").holds]
@@ -147,7 +147,8 @@ def test_criterion_3_cross_pipeline_oracle_equivalence():
         assert keys(col_general) == sorted(
             canonical_form(dual(a)).key for a in row_structural
         ), n
-    print("\nACCEPTANCE 3 PASS: structural and general pipelines agree (n <= 4)")
+    assert len(row_general) == len(col_general) == 362
+    print("\nACCEPTANCE 3 PASS: structural and general pipelines agree (n <= 5)")
 
 
 def test_criterion_4_lattice_verification():

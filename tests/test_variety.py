@@ -24,7 +24,6 @@ from aisemiring.variety import (
     _join_values,
     _pattern,
     _pattern_index,
-    _standard_closed_form,
     _universe,
     member,
     standard_subvariety_specs,
@@ -367,24 +366,17 @@ def test_specs_sharing_a_pattern_are_rejected():
         _pattern_index([spec("V(L2)", "L2"), spec("V(L2,T)", "L2", "trivial")])
 
 
-def test_classification_compares_each_standard_pair_once(monkeypatch):
-    calls = []
+def test_standard_order_comes_from_the_closed_form(monkeypatch):
+    # the closure stays the oracle: the order build_lattice computes
+    expected = build_lattice(standard_subvariety_specs()).leq
 
-    def counting_compare(*args, **kwargs):
-        calls.append(args)
-        return compare(*args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("_standard() compared specs through the closure")
 
-    monkeypatch.setattr(variety, "compare", counting_compare)
+    monkeypatch.setattr(variety, "compare", refuse)
     variety._standard.cache_clear()
-    try:
-        for a in enumerate_row_constant(4).items:
-            classify_generated(a)
-        _, leq, _ = variety._standard()
-    finally:
-        variety._standard.cache_clear()
-    assert len(calls) == 45
-    # the same inclusion order build_lattice computes
-    assert leq == build_lattice(standard_subvariety_specs()).leq
+    variety._closed_form.cache_clear()
+    assert variety._standard()[1] == expected
 
 
 def test_budget_errors_are_not_answers():
@@ -405,8 +397,8 @@ def test_closed_form_agrees_with_member_up_to_order_4():
             moved = relabel(a, rng.sample(range(n), n))
             for b in (a, moved):
                 values = _join_values(b)
-                for i, s in enumerate(specs):
-                    got = _closed_form_member(values, _standard_closed_form(i, n))
+                for s in specs:
+                    got = _closed_form_member(values, _closed_form(s, n))
                     assert got == member(b, s).member, (b.add, b.mul, s.label)
                     members += got
                     checks += 1
@@ -431,12 +423,14 @@ def test_closed_form_rejects_generators_outside_r():
 
 
 def test_classification_builds_no_closure(monkeypatch):
-    variety._standard()  # the inclusion order still compares by closure
-
     def refuse(*args, **kwargs):
         raise AssertionError("classify_generated reached the closure")
 
+    # cold: the inclusion order and the closed forms are built afresh
+    variety._standard.cache_clear()
+    variety._closed_form.cache_clear()
     monkeypatch.setattr(variety, "member", refuse)
+    monkeypatch.setattr(variety, "compare", refuse)
     monkeypatch.setattr(variety, "_universe", refuse)
     for a in enumerate_row_constant(4).items:
         classify_generated(a)
