@@ -35,10 +35,7 @@ from .enumeration import (
 from .satisfaction import (
     CATALOG,
     SatisfactionResult,
-    ShapeError,
-    classify_against_catalog,
     evaluate,
-    fast_satisfies,
     satisfies,
 )
 from .terms import (
@@ -51,7 +48,6 @@ from .terms import (
     parse_identities,
     parse_identity,
     substitute,
-    word_stats,
 )
 from .variety import (
     ClassificationError,
@@ -64,6 +60,7 @@ from .variety import (
     classify_generated,
     compare,
     free_algebra,
+    holds_in,
     member,
     standard_subvariety_specs,
 )

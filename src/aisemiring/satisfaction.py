@@ -1,8 +1,9 @@
-"""Identity satisfaction in finite algebras.
+"""Identity satisfaction in finite algebras, and the named identity
+catalog.
 
-`satisfies` is the exhaustive semantic check. `fast_satisfies` decides
-identities of the absorption shape u = u + q in the four named
-two-element algebras from word statistics alone, with no evaluation.
+`satisfies` is the exhaustive semantic check. Identities in varieties
+inside R (xy = xz) are decided from the closed form of F_R(k) by
+`variety.holds_in`.
 """
 
 from __future__ import annotations
@@ -11,13 +12,9 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import FiniteAlgebra, ResourceBudgetError
-from .terms import Identity, TermNF, Word, parse_identity, word_stats
+from .terms import Identity, TermNF, parse_identity
 
 DEFAULT_ASSIGNMENT_BUDGET = 10**8
-
-
-class ShapeError(ValueError):
-    """Identity is not of the u = u + q shape; decompose it first."""
 
 
 @dataclass(frozen=True)
@@ -77,53 +74,6 @@ def satisfies(
 
 
 # ---------------------------------------------------------------------------
-# structural satisfaction for the two-element algebras
-
-
-def absorption_shape(ident: Identity) -> tuple[TermNF, Word]:
-    """Split a nontrivial u = u + q identity into (u, q).
-
-    The right side must be the left side plus exactly one new word.
-    """
-    if ident.trivial:
-        raise ShapeError("identity is trivial")
-    lhs_words = set(ident.lhs.words)
-    extra = [w for w in ident.rhs.words if w not in lhs_words]
-    if len(extra) != 1 or not lhs_words <= set(ident.rhs.words):
-        raise ShapeError(
-            "expected shape u = u + q with one absorbed word; "
-            "run decompose_identity first"
-        )
-    return ident.lhs, extra[0]
-
-
-FAST_NAMES = ("L2", "R2", "N2", "T2")
-
-
-def fast_satisfies(which: str, ident: Identity | str) -> bool:
-    """Decide u = u + q in L2, R2, N2 or T2 from word statistics.
-
-    L2 looks for a summand with the head of q, R2 for one with its
-    tail, N2 only at the length of q, and T2 for any summand of
-    length at least two.
-    """
-    if isinstance(ident, str):
-        ident = parse_identity(ident)
-    if which not in FAST_NAMES:
-        raise ValueError(f"which must be one of {FAST_NAMES}")
-    u, q = absorption_shape(ident)
-    q_stats = word_stats(q)
-    stats = [word_stats(w) for w in u.words]
-    if which == "L2":
-        return any(s.first == q_stats.first for s in stats)
-    if which == "R2":
-        return any(s.last == q_stats.last for s in stats)
-    if which == "N2":
-        return q_stats.length >= 2
-    return any(s.length >= 2 for s in stats)
-
-
-# ---------------------------------------------------------------------------
 # the named identity catalog
 
 _CATALOG_SOURCES: dict[str, tuple[str, ...]] = {
@@ -157,12 +107,3 @@ def catalog_identity(label: str) -> Identity:
     if len(entry) != 1:
         raise ValueError(f"{label!r} is a multi-identity basis")
     return entry[0]
-
-
-def classify_against_catalog(a: FiniteAlgebra) -> dict[str, bool]:
-    """Satisfaction bit per catalog label, in the catalog's fixed order."""
-    a.validate()
-    return {
-        label: all(satisfies(a, ident).holds for ident in entry)
-        for label, entry in CATALOG.items()
-    }

@@ -247,31 +247,6 @@ def parse_identities(text: str) -> list[Identity]:
 
 
 # ---------------------------------------------------------------------------
-# word structure
-
-
-@dataclass(frozen=True)
-class WordStats:
-    """First/last variable, occurrence count, and the tail after the head.
-
-    ``rest`` is None exactly when the word has length one; callers that
-    need a nonempty tail must branch on ``length``.
-    """
-
-    first: str
-    last: str
-    length: int
-    rest: Word | None
-
-
-def word_stats(w: Word) -> WordStats:
-    if not w:
-        raise ValueError("word must be nonempty")
-    rest: Word | None = w[1:] if len(w) > 1 else None
-    return WordStats(first=w[0], last=w[-1], length=len(w), rest=rest)
-
-
-# ---------------------------------------------------------------------------
 # substitution and the sum decomposition
 
 

@@ -28,8 +28,10 @@ subset by subset, each one join from a smaller subset. A candidate in R
 generated by its k elements lies in V exactly when every subset's join
 takes the same value in it as its class's least subset does (see
 classify_generated); the same test on their generators orders the ten
-specs. `member`, `compare`, `build_lattice` and `free_algebra` keep the
-closure, which serves any spec, in R or not.
+specs. `holds_in` decides an identity in V(spec) for a spec inside R the
+same way: both sides reduce to subsets, and the identity holds exactly
+when they share a class. `member`, `compare`, `build_lattice` and
+`free_algebra` keep the closure, which serves any spec, in R or not.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from functools import lru_cache
 
 from .algebra import FiniteAlgebra, ResourceBudgetError
 from .satisfaction import CATALOG, satisfies
-from .terms import Identity, TermNF
+from .terms import Identity, TermNF, parse_identity
 
 DEFAULT_CLOSURE_LIMIT = 10**7
 DEFAULT_CELL_LIMIT = 10**7
@@ -627,14 +629,18 @@ def _subset_joins(letters, add) -> list:
     return joins
 
 
-@lru_cache(maxsize=None)
+_CLOSED_FORM_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_CLOSED_FORM_CACHE_SIZE)
 def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
     """rep[S] for every subset S of the 2k letters: the least subset
     whose join has the same evaluation vector as S over the spec's
     generators (rep[0] = 0 pads the empty subset).
 
-    Cached by spec and rank, 4^k ints per entry; classification asks for
-    the ten standard specs at ranks up to 5, so at most 50 entries.
+    Cached by spec and rank, 4^k ints per entry, least recently used
+    first out beyond _CLOSED_FORM_CACHE_SIZE entries; classification
+    alone asks for the ten standard specs at ranks up to 5, 50 entries.
 
     Raises ValueError when a generator falsifies xy = xz, since the
     letters then no longer span the free algebra.
@@ -647,6 +653,45 @@ def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
     joins = _subset_joins(seeds + [vectors.mul(x, x) for x in seeds], vectors.add)
     first: dict = {}
     return tuple(first.setdefault(vec, subset) for subset, vec in enumerate(joins))
+
+
+def _check_cell_budget(specs, k: int) -> None:
+    """Raise ResourceBudgetError when the widest spec's closed form at
+    rank k, (4^k - 1) x width vector cells, exceeds DEFAULT_CELL_LIMIT."""
+    width = max(sum(g.order**k for g in s.generators) for s in specs)
+    if (4**k - 1) * width > DEFAULT_CELL_LIMIT:
+        raise ResourceBudgetError(
+            f"closed-form vectors of {4**k - 1} joins x {width} entries "
+            "exceed the cell budget"
+        )
+
+
+def holds_in(spec: VarietySpec, ident: Identity | str) -> bool:
+    """Whether the identity holds in V(spec), for a spec inside R.
+
+    With k variables, each side is the join of a subset of the 2k
+    letters: a word whose first letter is x_i stands for x_i if it has
+    length 1 and for x_i x_i otherwise, since xw = xx in R. The identity
+    holds in V(spec) exactly when both subsets have the same
+    representative in the closed form of rank k. Raises ValueError for
+    a spec outside R, and ResourceBudgetError before any vector is built
+    when the closed form would exceed the cell budget.
+    """
+    if isinstance(ident, str):
+        ident = parse_identity(ident)
+    variables = ident.variables()
+    k = len(variables)
+    _check_cell_budget((spec,), k)
+    bit = {v: i for i, v in enumerate(variables)}
+
+    def subset(t: TermNF) -> int:
+        mask = 0
+        for w in t.words:
+            mask |= 1 << (bit[w[0]] + (k if len(w) > 1 else 0))
+        return mask
+
+    rep = _closed_form(spec, k)
+    return rep[subset(ident.lhs)] == rep[subset(ident.rhs)]
 
 
 def _join_values(a: FiniteAlgebra) -> list:
@@ -737,12 +782,7 @@ def classify_generated(a: FiniteAlgebra) -> str:
         )
     label = specs[found].label
     k = a.order
-    width = max(sum(g.order**k for g in s.generators) for s in specs)
-    if (4**k - 1) * width > DEFAULT_CELL_LIMIT:
-        raise ResourceBudgetError(
-            f"closed-form vectors of {4**k - 1} joins x {width} entries "
-            "exceed the cell budget"
-        )
+    _check_cell_budget(specs, k)
     values = _join_values(a)
     containing = [
         i

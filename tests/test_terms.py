@@ -1,4 +1,4 @@
-"""Parser, normal forms, word statistics, substitution, decomposition."""
+"""Parser, normal forms, substitution, decomposition."""
 
 import random
 
@@ -13,7 +13,6 @@ from aisemiring.terms import (
     parse_identity,
     substitute,
     term_of,
-    word_stats,
 )
 
 
@@ -107,15 +106,6 @@ def test_normalization_idempotent():
     for _ in range(100):
         t = _random_term(rng)
         assert TermNF(t.words) == t
-
-
-def test_word_stats():
-    s = word_stats(("x", "y", "x"))
-    assert (s.first, s.last, s.length, s.rest) == ("x", "x", 3, ("y", "x"))
-    s = word_stats(("x",))
-    assert (s.first, s.last, s.length, s.rest) == ("x", "x", 1, None)
-    s = word_stats(("x1", "x2"))
-    assert (s.first, s.last, s.length, s.rest) == ("x1", "x2", 2, ("x2",))
 
 
 def test_substitute_rename():

@@ -7,6 +7,7 @@ import pytest
 from aisemiring import catalog, variety
 from aisemiring.algebra import ResourceBudgetError, direct_product, dual, relabel
 from aisemiring.enumeration import enumerate_ai_semirings, enumerate_row_constant
+from gen_util import random_identity
 from aisemiring.satisfaction import evaluate, satisfies
 from aisemiring.terms import Identity, TermNF
 from aisemiring.variety import (
@@ -19,6 +20,7 @@ from aisemiring.variety import (
     classify_generated,
     compare,
     free_algebra,
+    holds_in,
     _closed_form,
     _closed_form_member,
     _join_values,
@@ -447,3 +449,49 @@ def test_classification_budget_at_order_6_is_raised_before_any_vector(monkeypatc
     monkeypatch.setattr(variety._Vectors, "__init__", refuse)
     with pytest.raises(ResourceBudgetError, match="cell budget"):
         classify_generated(a)
+
+
+def test_holds_in_agrees_with_satisfies_on_the_generators():
+    # an identity holds in V(G) iff it holds in every generator in G
+    rng = random.Random(11)
+    specs = standard_subvariety_specs()
+    holding = 0
+    for _ in range(400):
+        ident = random_identity(rng, max_vars=3)
+        for s in specs:
+            got = holds_in(s, ident)
+            assert got == all(satisfies(a, ident).holds for a in s.generators), (
+                str(ident),
+                s.label,
+            )
+            holding += got
+    assert 0 < holding < 400 * len(specs)
+
+
+def test_holds_in_accepts_a_string_identity():
+    assert holds_in(R_SPEC, "xy = xz")
+    assert not holds_in(R_SPEC, "x = x + xx")
+    assert holds_in(spec("V(T2)", "T2"), "xx = xx + x")
+
+
+def test_holds_in_rejects_specs_outside_r():
+    for outside in (spec("V(R2)", "R2"), spec("V(M2_or_D2_a)", "M2_or_D2_a")):
+        with pytest.raises(ValueError, match="falsifies xy = xz"):
+            holds_in(outside, "x = x + xx")
+
+
+def test_holds_in_budget_is_raised_before_any_vector(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a vector was built")
+
+    monkeypatch.setattr(variety._Vectors, "__init__", refuse)
+    with pytest.raises(ResourceBudgetError, match="cell budget"):
+        holds_in(R_SPEC, "x1 + x2 + x3 + x4 + x5 + x6 + x7 = x1")
+
+
+def test_closed_form_cache_stays_bounded():
+    bound = variety._closed_form.cache_info().maxsize
+    assert bound >= 50  # the ten standard specs at ranks 1-5
+    for i in range(bound + 5):
+        assert holds_in(spec(f"V(T2)#{i}", "T2"), "xx = xx + x")
+    assert variety._closed_form.cache_info().currsize <= bound
