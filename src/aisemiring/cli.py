@@ -40,6 +40,7 @@ from .variety import (
     free_algebra,
     member,
     standard_subvariety_specs,
+    _in_variety,
 )
 
 OK, FALSIFIED, USAGE = 0, 1, 2
@@ -443,9 +444,9 @@ def _figure1_claims(lat, expected_edges, expected_atoms, dual_mode: bool):
     claims.append((name, verdict == EQUAL, verdict))
     if not dual_mode:
         claims += [
-            ("S58 is in the top variety", member(g("S58"), top).member, "member"),
-            ("N2 is in the top variety", member(g("N2"), top).member, "member"),
-            ("S4_475 is in V(S58,N2)", member(g("S4_475"), big).member, "member"),
+            ("S58 is in the top variety", _in_variety(g("S58"), top), "member"),
+            ("N2 is in the top variety", _in_variety(g("N2"), top), "member"),
+            ("S4_475 is in V(S58,N2)", _in_variety(g("S4_475"), big), "member"),
         ]
     return claims
 

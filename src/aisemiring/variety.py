@@ -30,17 +30,22 @@ takes the same value in it as its class's least subset does (see
 classify_generated); the same test on their generators orders the ten
 specs. `holds_in` decides an identity in V(spec) for a spec inside R the
 same way: both sides reduce to subsets, and the identity holds exactly
-when they share a class. `member`, `compare`, `build_lattice` and
-`free_algebra` keep the closure, which serves any spec, in R or not.
+when they share a class. `compare`, and through it `build_lattice`, use
+the same test when the candidate and the generators all lie in R, or all
+in its dual (yx = zx, through `dual`); other inputs go through the
+closure. `member` keeps the closure for its separating-identity
+certificate, and `free_algebra` for its tables and witnesses; for a spec
+inside R the closed form cross-checks the free algebra's order.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import FiniteAlgebra, ResourceBudgetError
+from .algebra import FiniteAlgebra, ResourceBudgetError, dual
 from .satisfaction import CATALOG, satisfies
 from .terms import Identity, TermNF, parse_identity
 
@@ -334,8 +339,14 @@ def free_algebra(
     closure_limit: int = DEFAULT_CLOSURE_LIMIT,
     cell_limit: int = DEFAULT_CELL_LIMIT,
 ) -> FreeAlgebraResult:
-    """Rank-k relatively free algebra of V(spec) with witnesses; its axioms
-    are checked only up to order 100 (an O(n^3) check), not above."""
+    """Rank-k relatively free algebra of V(spec) with witnesses.
+
+    Its axioms are checked only up to order 100 (an O(n^3) check), not
+    above. For a spec inside R whose closed form fits the cell budget,
+    the order is checked at any size against a second route: the number
+    of classes of the closed form of rank k. A mismatch raises
+    RuntimeError.
+    """
     if k < 1:
         raise ValueError("rank must be positive")
     uni = _universe(spec, k, closure_limit, cell_limit)
@@ -344,6 +355,13 @@ def free_algebra(
     )
     if algebra.order <= 100:
         algebra.validate()
+    if all(map(_in_r, spec.generators)) and (4**k - 1) * uni.width <= cell_limit:
+        classes = len(set(_closed_form(spec, k))) - 1  # rep[0] pads the empty subset
+        if classes != uni.size:
+            raise RuntimeError(
+                f"free algebra of {spec.label!r} at rank {k} has {uni.size} "
+                f"elements but the closed form of F_R({k}) has {classes} classes"
+            )
     return FreeAlgebraResult(
         algebra=algebra,
         rank=k,
@@ -436,10 +454,14 @@ INCOMPARABLE = "incomparable"
 def compare(v1: VarietySpec, v2: VarietySpec, **budgets) -> str:
     """Mutual inclusion of two finitely generated varieties.
 
-    V2 contains V1 iff every generator of V1 is a member of V2.
+    V2 contains V1 iff every generator of V1 is a member of V2. Each
+    membership is decided by _in_variety: through the closed form of
+    F_R(k) when both sides lie inside R or both inside its dual, through
+    the closure otherwise. `budgets` are member's closure_limit and
+    cell_limit; the closed form honours cell_limit.
     """
-    left_in_right = all(member(g, v2, **budgets).member for g in v1.generators)
-    right_in_left = all(member(g, v1, **budgets).member for g in v2.generators)
+    left_in_right = all(_in_variety(g, v2, **budgets) for g in v1.generators)
+    right_in_left = all(_in_variety(g, v1, **budgets) for g in v2.generators)
     if left_in_right and right_in_left:
         return EQUAL
     if left_in_right:
@@ -483,7 +505,9 @@ def build_lattice(specs: list[VarietySpec], **budgets) -> VarietyLattice:
 
     Joins are computed semantically (union of generator lists) and must
     land on a listed spec; a join or meet escaping the list raises
-    LatticeIncompleteError with the offending pair.
+    LatticeIncompleteError with the offending pair. Inclusions come from
+    `compare`, so a family inside R or inside its dual builds no
+    free-algebra closure.
     """
     m = len(specs)
     leq = [[i == j for j in range(m)] for i in range(m)]
@@ -629,37 +653,57 @@ def _subset_joins(letters, add) -> list:
     return joins
 
 
-_CLOSED_FORM_CACHE_SIZE = 64
+def _in_r(a: FiniteAlgebra) -> bool:
+    """Whether `a` satisfies xy = xz, i.e. every row of its product is
+    constant."""
+    return all(len(set(row)) == 1 for row in a.mul)
 
 
-@lru_cache(maxsize=_CLOSED_FORM_CACHE_SIZE)
+# rep tuples by (spec, rank), least recently used first; their lengths,
+# 4^k each, sum to at most _CLOSED_FORM_CACHE_CELLS
+_closed_forms: OrderedDict[tuple[VarietySpec, int], tuple[int, ...]] = OrderedDict()
+_CLOSED_FORM_CACHE_CELLS = 4**9
+
+
 def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
     """rep[S] for every subset S of the 2k letters: the least subset
     whose join has the same evaluation vector as S over the spec's
     generators (rep[0] = 0 pads the empty subset).
 
-    Cached by spec and rank, 4^k ints per entry, least recently used
-    first out beyond _CLOSED_FORM_CACHE_SIZE entries; classification
-    alone asks for the ten standard specs at ranks up to 5, 50 entries.
+    Cached by spec and rank. An entry holds 4^k ints, and least recently
+    used entries leave first once the entries together hold more than
+    _CLOSED_FORM_CACHE_CELLS; classification alone asks for the ten
+    standard specs at ranks up to 5, 13,640 ints.
 
     Raises ValueError when a generator falsifies xy = xz, since the
     letters then no longer span the free algebra.
     """
+    key = (spec, k)
+    rep = _closed_forms.get(key)
+    if rep is not None:
+        _closed_forms.move_to_end(key)
+        return rep
     for g in spec.generators:
-        if not satisfies(g, CATALOG["id0703"][0]).holds:
+        if not _in_r(g):
             raise ValueError(f"generator {g!r} of {spec.label!r} falsifies xy = xz")
     vectors = _Vectors(spec.generators, k)
     seeds = vectors._seed_vectors()
     joins = _subset_joins(seeds + [vectors.mul(x, x) for x in seeds], vectors.add)
     first: dict = {}
-    return tuple(first.setdefault(vec, subset) for subset, vec in enumerate(joins))
+    rep = tuple(first.setdefault(vec, subset) for subset, vec in enumerate(joins))
+    _closed_forms[key] = rep
+    cells = sum(map(len, _closed_forms.values()))
+    while cells > _CLOSED_FORM_CACHE_CELLS:
+        _key, old = _closed_forms.popitem(last=False)
+        cells -= len(old)
+    return rep
 
 
-def _check_cell_budget(specs, k: int) -> None:
+def _check_cell_budget(specs, k: int, limit: int = DEFAULT_CELL_LIMIT) -> None:
     """Raise ResourceBudgetError when the widest spec's closed form at
-    rank k, (4^k - 1) x width vector cells, exceeds DEFAULT_CELL_LIMIT."""
+    rank k, (4^k - 1) x width vector cells, exceeds `limit`."""
     width = max(sum(g.order**k for g in s.generators) for s in specs)
-    if (4**k - 1) * width > DEFAULT_CELL_LIMIT:
+    if (4**k - 1) * width > limit:
         raise ResourceBudgetError(
             f"closed-form vectors of {4**k - 1} joins x {width} entries "
             "exceed the cell budget"
@@ -708,23 +752,43 @@ def _closed_form_member(values: list, rep: tuple[int, ...]) -> bool:
     return [values[r] for r in rep] == values
 
 
+def _in_variety(
+    a: FiniteAlgebra,
+    spec: VarietySpec,
+    closure_limit: int = DEFAULT_CLOSURE_LIMIT,
+    cell_limit: int = DEFAULT_CELL_LIMIT,
+) -> bool:
+    """Whether `a` lies in V(spec), without member's certificate.
+
+    When `a` and every generator lie in R, the closed form of rank |a|
+    decides it: `a` is generated by its |a| elements (see
+    classify_generated). When they all lie in the dual of R (yx = zx),
+    the same test runs on dual(a) and the dualised generators, since
+    `a` is in V(G) exactly when dual(a) is in V(dual G). Anything else
+    goes through `member`'s closure. The closed form honours cell_limit
+    and builds no closure, so closure_limit bounds only the fallback.
+    """
+    a.validate()
+    k = a.order
+    if not all(map(_in_r, (a, *spec.generators))):
+        candidate, generators = dual(a), tuple(map(dual, spec.generators))
+        if not all(map(_in_r, (candidate, *generators))):
+            return member(a, spec, closure_limit, cell_limit).member
+        a, spec = candidate, VarietySpec(spec.label, generators)
+    _check_cell_budget((spec,), k, cell_limit)
+    return _closed_form_member(_join_values(a), _closed_form(spec, k))
+
+
 @lru_cache(maxsize=1)
 def _standard():
     """The ten standard specs, their inclusion order and pattern index.
 
-    leq[i][j] iff each generator g of specs[i] lies in V(specs[j]); g is
-    in R and generated by its |g| elements, so the closed form at rank
-    |g| decides it (see classify_generated) without a closure.
+    leq[i][j] iff each generator of specs[i] lies in V(specs[j]); all of
+    them are in R, so _in_variety decides it without a closure.
     """
     specs = tuple(standard_subvariety_specs())
     leq = tuple(
-        tuple(
-            all(
-                _closed_form_member(_join_values(g), _closed_form(t, g.order))
-                for g in s.generators
-            )
-            for t in specs
-        )
+        tuple(all(_in_variety(g, t) for g in s.generators) for t in specs)
         for s in specs
     )
     return specs, leq, _pattern_index(specs)
@@ -764,12 +828,12 @@ def classify_generated(a: FiniteAlgebra) -> str:
     under x_i -> a_i for every S: sound and complete, but only for
     candidates and specs inside R. The order that picks the least such V
     comes from the same test (see _standard), so even a cold call builds
-    no closure; `member` keeps it for general specs. The widest spec's
+    no closure. The widest spec's
     (4^k - 1) x width vector cells are checked against
     DEFAULT_CELL_LIMIT before any vector is built.
     """
     a.validate()
-    if not satisfies(a, CATALOG["id0703"][0]).holds:
+    if not _in_r(a):
         raise ValueError("classification requires an algebra satisfying xy = xz")
     specs, leq, by_pattern = _standard()
     pattern = _pattern((a,))

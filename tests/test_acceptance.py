@@ -316,6 +316,7 @@ DETERMINISM_COMMANDS = (
     (("enumerate", "--order", "3", "--class", "row-constant", "--format", "json"), 0),
     (("count-restricted", "--max-order", "5", "--format", "json"), 1),
     (("figure1",), 0),
+    (("figure1", "--dual"), 0),
     (("check", "--algebra", "builtin:S58", "--identity", "xy=xz", "--format", "json"),
      0),
     (("member", "--algebra", "builtin:R2", "--variety", "builtin:S4_475",

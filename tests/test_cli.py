@@ -267,7 +267,8 @@ def test_figure1_dual_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     lines = out.splitlines()
-    assert sum(line.startswith("PASS") for line in lines) == 6
+    assert all(line.startswith("PASS") for line in lines)
+    assert len(lines) == 6
     assert "PASS atoms are exactly V(R2), V(N2), V(T2) (V(N2), V(R2), V(T2))" in lines
 
 

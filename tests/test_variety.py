@@ -1,5 +1,6 @@
 """Variety membership, free algebras, comparison, the ten-variety lattice."""
 
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from aisemiring.variety import (
     EQUAL,
     INCOMPARABLE,
     LEFT_IN_RIGHT,
+    RIGHT_IN_LEFT,
     LatticeIncompleteError,
     VarietySpec,
     build_lattice,
@@ -369,16 +371,97 @@ def test_specs_sharing_a_pattern_are_rejected():
 
 
 def test_standard_order_comes_from_the_closed_form(monkeypatch):
-    # the closure stays the oracle: the order build_lattice computes
-    expected = build_lattice(standard_subvariety_specs()).leq
+    # the closure stays the oracle: member on every generator
+    specs = standard_subvariety_specs()
+    expected = tuple(
+        tuple(all(member(x, t).member for x in s.generators) for t in specs)
+        for s in specs
+    )
 
     def refuse(*args, **kwargs):
         raise AssertionError("_standard() compared specs through the closure")
 
     monkeypatch.setattr(variety, "compare", refuse)
+    monkeypatch.setattr(variety, "member", refuse)
     variety._standard.cache_clear()
-    variety._closed_form.cache_clear()
+    variety._closed_forms.clear()
     assert variety._standard()[1] == expected
+
+
+def _closure_verdict(v1, v2):
+    """compare's verdict from member's closure alone."""
+    left_in_right = all(member(x, v2).member for x in v1.generators)
+    right_in_left = all(member(x, v1).member for x in v2.generators)
+    return {
+        (True, True): EQUAL,
+        (True, False): LEFT_IN_RIGHT,
+        (False, True): RIGHT_IN_LEFT,
+        (False, False): INCOMPARABLE,
+    }[left_in_right, right_in_left]
+
+
+def _dual_specs():
+    return [
+        VarietySpec(f"dual {s.label}", tuple(map(dual, s.generators)))
+        for s in standard_subvariety_specs()
+    ]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        standard_subvariety_specs,
+        _dual_specs,
+        lambda: [spec("V(L2)", "L2"), spec("V(R2)", "R2")],
+    ],
+    ids=["standard", "dual", "mixed"],
+)
+def test_compare_agrees_with_the_closure(family):
+    for v1, v2 in itertools.permutations(family(), 2):
+        assert compare(v1, v2) == _closure_verdict(v1, v2), (v1.label, v2.label)
+
+
+def test_compare_builds_no_closure_inside_r_or_its_dual(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare reached the closure")
+
+    variety._universe_cache.clear()
+    monkeypatch.setattr(variety, "member", refuse)
+    monkeypatch.setattr(variety, "_universe", refuse)
+    assert build_lattice(standard_subvariety_specs()).distributive
+    assert build_lattice(_dual_specs()).distributive
+    assert not variety._universe_cache
+
+
+def test_compare_outside_r_and_its_dual_reaches_member(monkeypatch):
+    calls = []
+    closure_member = variety.member
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return closure_member(*args, **kwargs)
+
+    monkeypatch.setattr(variety, "member", counted)
+    outside = spec("V(M2_or_D2_a)", "M2_or_D2_a")
+    assert compare(outside, spec("V(L2)", "L2")) == _closure_verdict(
+        outside, spec("V(L2)", "L2")
+    )
+    assert calls
+    calls.clear()
+    assert compare(spec("V(L2)", "L2"), spec("V(L2,N2)", "L2", "N2")) == LEFT_IN_RIGHT
+    assert not calls
+
+
+def test_compare_honours_the_cell_budget():
+    for left, right in (
+        (spec("V(L2)", "L2"), R_SPEC),  # closed form
+        (spec("V(R2)", "R2"), spec("V(S4_477)", "S4_477")),  # dual
+        (spec("V(M2_or_D2_a)", "M2_or_D2_a"), R_SPEC),  # closure
+    ):
+        with pytest.raises(ResourceBudgetError):
+            compare(left, right, cell_limit=10)
+    with pytest.raises(ResourceBudgetError):
+        build_lattice(standard_subvariety_specs(), cell_limit=10)
 
 
 def test_budget_errors_are_not_answers():
@@ -430,7 +513,7 @@ def test_classification_builds_no_closure(monkeypatch):
 
     # cold: the inclusion order and the closed forms are built afresh
     variety._standard.cache_clear()
-    variety._closed_form.cache_clear()
+    variety._closed_forms.clear()
     monkeypatch.setattr(variety, "member", refuse)
     monkeypatch.setattr(variety, "compare", refuse)
     monkeypatch.setattr(variety, "_universe", refuse)
@@ -489,9 +572,50 @@ def test_holds_in_budget_is_raised_before_any_vector(monkeypatch):
         holds_in(R_SPEC, "x1 + x2 + x3 + x4 + x5 + x6 + x7 = x1")
 
 
-def test_closed_form_cache_stays_bounded():
-    bound = variety._closed_form.cache_info().maxsize
-    assert bound >= 50  # the ten standard specs at ranks 1-5
-    for i in range(bound + 5):
-        assert holds_in(spec(f"V(T2)#{i}", "T2"), "xx = xx + x")
-    assert variety._closed_form.cache_info().currsize <= bound
+def _cached_cells():
+    return sum(map(len, variety._closed_forms.values()))
+
+
+def test_closed_form_cache_stays_bounded(monkeypatch):
+    # the ten standard specs at ranks 1-5 fit, 13,640 ints
+    assert variety._CLOSED_FORM_CACHE_CELLS >= 10 * sum(4**k for k in range(1, 6))
+    # with room for ranks 1, 2 and 3 (4 + 16 + 64 ints), a second rank-2
+    # entry evicts the least recently used one
+    monkeypatch.setattr(variety, "_CLOSED_FORM_CACHE_CELLS", 84)
+    variety._closed_forms.clear()
+    a, b, c, d = (spec(f"V(T2)#{i}", "T2") for i in range(4))
+    _closed_form(a, 1)
+    _closed_form(b, 2)
+    _closed_form(c, 3)
+    _closed_form(a, 1)  # a is now the most recently used
+    _closed_form(d, 2)
+    assert list(variety._closed_forms) == [(c, 3), (a, 1), (d, 2)]
+    assert _cached_cells() == 84
+
+
+def test_rank_9_closed_form_leaves_the_cache_within_its_cap():
+    variety._closed_forms.clear()
+    for s in standard_subvariety_specs():
+        _closed_form(s, 2)
+    trivial = spec("T", "trivial")
+    assert holds_in(trivial, " + ".join(f"x{i}" for i in range(1, 10)) + " = x1")
+    assert _cached_cells() <= variety._CLOSED_FORM_CACHE_CELLS
+    assert (trivial, 9) in variety._closed_forms
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_free_algebra_order_matches_the_closed_form(k):
+    for s in standard_subvariety_specs():
+        classes = len(set(_closed_form(s, k))) - 1
+        assert free_algebra(s, k).algebra.order == classes
+
+
+def test_free_algebra_order_mismatch_raises(monkeypatch):
+    def merged(spec, k):
+        # a closed form that merges every subset, as of the trivial variety
+        return (0,) + (1,) * (4**k - 1)
+
+    monkeypatch.setattr(variety, "_closed_form", merged)
+    with pytest.raises(RuntimeError, match="closed form"):
+        free_algebra(spec("V(L2)", "L2"), 2)
+    assert free_algebra(spec("T", "trivial"), 2).algebra.order == 1
