@@ -29,7 +29,6 @@ from .satisfaction import DEFAULT_ASSIGNMENT_BUDGET, satisfies
 from .terms import TermSyntaxError, parse_identities, parse_identity
 from .variety import (
     DEFAULT_CELL_LIMIT,
-    DEFAULT_CLOSURE_LIMIT,
     EQUAL,
     LatticeIncompleteError,
     VarietySpec,
@@ -269,7 +268,7 @@ def cmd_count_restricted(args) -> int:
 def cmd_member(args) -> int:
     a = _load_algebra(args.algebra)
     spec = _load_variety(args.variety)
-    res = member(a, spec, closure_limit=args.closure_limit, cell_limit=args.cell_limit)
+    res = member(a, spec, cell_limit=args.cell_limit)
     payload = {
         "algebra": a.name or args.algebra,
         "variety": spec.label,
@@ -294,9 +293,7 @@ def cmd_member(args) -> int:
 
 def cmd_free(args) -> int:
     spec = _load_variety(args.variety)
-    res = free_algebra(
-        spec, args.rank, closure_limit=args.closure_limit, cell_limit=args.cell_limit
-    )
+    res = free_algebra(spec, args.rank, cell_limit=args.cell_limit)
     payload = {
         "variety": spec.label,
         "rank": args.rank,
@@ -537,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True)
     p.add_argument("--identity")
     p.add_argument("--identities-file")
-    p.add_argument("--budget", type=int, default=DEFAULT_ASSIGNMENT_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_ASSIGNMENT_BUDGET)
     _add_common(p)
     p.set_defaults(func=cmd_check)
 
@@ -563,16 +560,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="variety membership")
     p.add_argument("--algebra", required=True)
     p.add_argument("--variety", required=True, help="comma-separated generators")
-    p.add_argument("--closure-limit", type=int, default=DEFAULT_CLOSURE_LIMIT)
-    p.add_argument("--cell-limit", type=int, default=DEFAULT_CELL_LIMIT)
+    p.add_argument("--cell-limit", type=_positive_int, default=DEFAULT_CELL_LIMIT)
     _add_common(p)
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("free", help="relatively free algebra with witnesses")
     p.add_argument("--variety", required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--closure-limit", type=int, default=DEFAULT_CLOSURE_LIMIT)
-    p.add_argument("--cell-limit", type=int, default=DEFAULT_CELL_LIMIT)
+    p.add_argument("--cell-limit", type=_positive_int, default=DEFAULT_CELL_LIMIT)
     _add_common(p)
     p.set_defaults(func=cmd_free)
 
@@ -624,7 +619,9 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, (AxiomError, ClassificationError, LatticeIncompleteError)):
             print(f"FINDING: {exc}", file=sys.stderr)
             return FALSIFIED
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its key; print the message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return USAGE
     except ResourceBudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)

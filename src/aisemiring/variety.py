@@ -49,7 +49,6 @@ from .algebra import FiniteAlgebra, ResourceBudgetError, dual
 from .satisfaction import CATALOG, satisfies
 from .terms import Identity, TermNF, parse_identity
 
-DEFAULT_CLOSURE_LIMIT = 10**7
 DEFAULT_CELL_LIMIT = 10**7
 
 
@@ -173,13 +172,13 @@ class _Universe(_Vectors):
     indices.
     """
 
-    def __init__(self, generators, k, closure_limit, cell_limit):
+    def __init__(self, generators, k, cell_limit):
         super().__init__(generators, k)
-        self._close(self._seed_vectors(), closure_limit, cell_limit)
+        self._close(self._seed_vectors(), cell_limit)
 
     # -- closure --------------------------------------------------------------
 
-    def _close(self, seeds, closure_limit, cell_limit):
+    def _close(self, seeds, cell_limit):
         """Worklist closure of the seed vectors under both operations,
         recording the operation tables as it goes.
 
@@ -204,10 +203,7 @@ class _Universe(_Vectors):
         packed, width = self._packed, self.width
 
         def discover(vec, op, left, right) -> int:
-            if (
-                len(vectors) >= closure_limit
-                or (len(vectors) + 1) * width > cell_limit
-            ):
+            if (len(vectors) + 1) * width > cell_limit:
                 raise ResourceBudgetError(
                     "free-algebra closure exceeded the configured budget"
                 )
@@ -294,10 +290,7 @@ _universe_cache: dict[tuple, _Universe] = {}
 
 
 def _universe(
-    spec: VarietySpec,
-    k: int,
-    closure_limit: int = DEFAULT_CLOSURE_LIMIT,
-    cell_limit: int = DEFAULT_CELL_LIMIT,
+    spec: VarietySpec, k: int, cell_limit: int = DEFAULT_CELL_LIMIT
 ) -> _Universe:
     key = (spec.key(), k)
     width = sum(g.order**k for g in spec.generators)
@@ -306,11 +299,11 @@ def _universe(
             f"evaluation vectors of length {width} exceed the cell budget"
         )
     if key not in _universe_cache:
-        _universe_cache[key] = _Universe(spec.generators, k, closure_limit, cell_limit)
+        _universe_cache[key] = _Universe(spec.generators, k, cell_limit)
     uni = _universe_cache[key]
     # enforce the caller's budget even when the closure is already cached,
     # so budget errors do not depend on call order
-    if uni.size > closure_limit or uni.size * width > cell_limit:
+    if uni.size * width > cell_limit:
         raise ResourceBudgetError(
             f"free-algebra closure of size {uni.size} exceeds the configured budget"
         )
@@ -334,22 +327,22 @@ class FreeAlgebraResult:
 
 
 def free_algebra(
-    spec: VarietySpec,
-    k: int,
-    closure_limit: int = DEFAULT_CLOSURE_LIMIT,
-    cell_limit: int = DEFAULT_CELL_LIMIT,
+    spec: VarietySpec, k: int, cell_limit: int = DEFAULT_CELL_LIMIT
 ) -> FreeAlgebraResult:
     """Rank-k relatively free algebra of V(spec) with witnesses.
 
-    Its axioms are checked only up to order 100 (an O(n^3) check), not
-    above. For a spec inside R whose closed form fits the cell budget,
-    the order is checked at any size against a second route: the number
-    of classes of the closed form of rank k. A mismatch raises
-    RuntimeError.
+    `cell_limit` bounds the closure's size x width vector cells, width
+    being the sum of |g|^k over the generators g; past it
+    ResourceBudgetError is raised rather than a partial algebra
+    returned. Its axioms are checked only up to order 100 (an O(n^3)
+    check), not above. For a spec inside R whose closed form also fits
+    `cell_limit`, the order is checked at any size against a second
+    route: the number of classes of the closed form of rank k. A
+    mismatch raises RuntimeError.
     """
     if k < 1:
         raise ValueError("rank must be positive")
-    uni = _universe(spec, k, closure_limit, cell_limit)
+    uni = _universe(spec, k, cell_limit)
     algebra = FiniteAlgebra(
         uni.size, uni.add_tab, uni.mul_tab, f"F({spec.label},{k})"
     )
@@ -388,10 +381,7 @@ class MembershipResult:
 
 
 def member(
-    a: FiniteAlgebra,
-    spec: VarietySpec,
-    closure_limit: int = DEFAULT_CLOSURE_LIMIT,
-    cell_limit: int = DEFAULT_CELL_LIMIT,
+    a: FiniteAlgebra, spec: VarietySpec, cell_limit: int = DEFAULT_CELL_LIMIT
 ) -> MembershipResult:
     """Decide whether `a` lies in the variety generated by the spec.
 
@@ -405,7 +395,7 @@ def member(
     """
     a.validate()
     k = a.order
-    separating = _separating_identity(a, _universe(spec, k, closure_limit, cell_limit))
+    separating = _separating_identity(a, _universe(spec, k, cell_limit))
     assignment = {_variable(i): i for i in range(k)}
     return MembershipResult(separating is None, separating, assignment)
 
@@ -451,17 +441,18 @@ RIGHT_IN_LEFT = "right-in-left"
 INCOMPARABLE = "incomparable"
 
 
-def compare(v1: VarietySpec, v2: VarietySpec, **budgets) -> str:
+def compare(
+    v1: VarietySpec, v2: VarietySpec, cell_limit: int = DEFAULT_CELL_LIMIT
+) -> str:
     """Mutual inclusion of two finitely generated varieties.
 
     V2 contains V1 iff every generator of V1 is a member of V2. Each
     membership is decided by _in_variety: through the closed form of
     F_R(k) when both sides lie inside R or both inside its dual, through
-    the closure otherwise. `budgets` are member's closure_limit and
-    cell_limit; the closed form honours cell_limit.
+    the closure otherwise. Both routes honour `cell_limit`.
     """
-    left_in_right = all(_in_variety(g, v2, **budgets) for g in v1.generators)
-    right_in_left = all(_in_variety(g, v1, **budgets) for g in v2.generators)
+    left_in_right = all(_in_variety(g, v2, cell_limit) for g in v1.generators)
+    right_in_left = all(_in_variety(g, v1, cell_limit) for g in v2.generators)
     if left_in_right and right_in_left:
         return EQUAL
     if left_in_right:
@@ -499,7 +490,9 @@ class VarietyLattice:
         return tuple(j for i, j in self.hasse_edges if i == bot)
 
 
-def build_lattice(specs: list[VarietySpec], **budgets) -> VarietyLattice:
+def build_lattice(
+    specs: list[VarietySpec], cell_limit: int = DEFAULT_CELL_LIMIT
+) -> VarietyLattice:
     """Inclusion order, covers, joins, meets and distributivity of a
     finite family of variety specs.
 
@@ -513,7 +506,7 @@ def build_lattice(specs: list[VarietySpec], **budgets) -> VarietyLattice:
     leq = [[i == j for j in range(m)] for i in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            verdict = compare(specs[i], specs[j], **budgets)
+            verdict = compare(specs[i], specs[j], cell_limit)
             if verdict == EQUAL:
                 raise LatticeIncompleteError(
                     f"specs {specs[i].label!r} and {specs[j].label!r} "
@@ -549,7 +542,7 @@ def build_lattice(specs: list[VarietySpec], **budgets) -> VarietyLattice:
                 f"{specs[i].label}+{specs[j].label}",
                 specs[i].generators + specs[j].generators,
             )
-            if least is None or compare(merged, specs[least], **budgets) != EQUAL:
+            if least is None or compare(merged, specs[least], cell_limit) != EQUAL:
                 raise LatticeIncompleteError(
                     f"join of {specs[i].label!r} and {specs[j].label!r} "
                     "is not among the listed specs"
@@ -659,9 +652,9 @@ def _in_r(a: FiniteAlgebra) -> bool:
     return all(len(set(row)) == 1 for row in a.mul)
 
 
-# rep tuples by (spec, rank), least recently used first; their lengths,
-# 4^k each, sum to at most _CLOSED_FORM_CACHE_CELLS
-_closed_forms: OrderedDict[tuple[VarietySpec, int], tuple[int, ...]] = OrderedDict()
+# rep tuples by (spec.key(), rank), least recently used first; their
+# lengths, 4^k each, sum to at most _CLOSED_FORM_CACHE_CELLS
+_closed_forms: OrderedDict[tuple[tuple, int], tuple[int, ...]] = OrderedDict()
 _CLOSED_FORM_CACHE_CELLS = 4**9
 
 
@@ -670,15 +663,18 @@ def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
     whose join has the same evaluation vector as S over the spec's
     generators (rep[0] = 0 pads the empty subset).
 
-    Cached by spec and rank. An entry holds 4^k ints, and least recently
-    used entries leave first once the entries together hold more than
-    _CLOSED_FORM_CACHE_CELLS; classification alone asks for the ten
-    standard specs at ranks up to 5, 13,640 ints.
+    Cached by the generators (spec.key(), as the closure cache is) and
+    rank, so specs that differ only in label share an entry. An entry
+    holds 4^k ints, and least recently used entries leave first once
+    the entries together hold more than _CLOSED_FORM_CACHE_CELLS;
+    classification alone asks for the ten standard specs at ranks up to
+    5, 13,640 ints. No budget is checked here: callers check
+    (4^k - 1) x width cells first (see _check_cell_budget).
 
     Raises ValueError when a generator falsifies xy = xz, since the
     letters then no longer span the free algebra.
     """
-    key = (spec, k)
+    key = (spec.key(), k)
     rep = _closed_forms.get(key)
     if rep is not None:
         _closed_forms.move_to_end(key)
@@ -753,10 +749,7 @@ def _closed_form_member(values: list, rep: tuple[int, ...]) -> bool:
 
 
 def _in_variety(
-    a: FiniteAlgebra,
-    spec: VarietySpec,
-    closure_limit: int = DEFAULT_CLOSURE_LIMIT,
-    cell_limit: int = DEFAULT_CELL_LIMIT,
+    a: FiniteAlgebra, spec: VarietySpec, cell_limit: int = DEFAULT_CELL_LIMIT
 ) -> bool:
     """Whether `a` lies in V(spec), without member's certificate.
 
@@ -765,15 +758,16 @@ def _in_variety(
     classify_generated). When they all lie in the dual of R (yx = zx),
     the same test runs on dual(a) and the dualised generators, since
     `a` is in V(G) exactly when dual(a) is in V(dual G). Anything else
-    goes through `member`'s closure. The closed form honours cell_limit
-    and builds no closure, so closure_limit bounds only the fallback.
+    goes through `member`'s closure. `cell_limit` bounds whichever
+    route runs: the closed form's (4^|a| - 1) x width cells or the
+    closure's size x width cells.
     """
     a.validate()
     k = a.order
     if not all(map(_in_r, (a, *spec.generators))):
         candidate, generators = dual(a), tuple(map(dual, spec.generators))
         if not all(map(_in_r, (candidate, *generators))):
-            return member(a, spec, closure_limit, cell_limit).member
+            return member(a, spec, cell_limit).member
         a, spec = candidate, VarietySpec(spec.label, generators)
     _check_cell_budget((spec,), k, cell_limit)
     return _closed_form_member(_join_values(a), _closed_form(spec, k))

@@ -285,6 +285,14 @@ def test_unknown_builtin_is_usage_error(capsys):
     assert "nope" in err
 
 
+def test_unknown_builtin_message_is_printed_unquoted(capsys):
+    code, out, err = run(capsys, "classify", "--algebra", "builtin:NOPE")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown builtin algebra 'NOPE'; known: trivial, ")
+    assert '"' not in err
+
+
 def test_bad_identity_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "--algebra", "builtin:L2", "--identity", "x+y^2=x")
     assert code == 2
@@ -324,6 +332,33 @@ def test_node_budget_below_one_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("member", "--algebra", "L2", "--variety", "S4_475", "--cell-limit", "-3"),
+         "argument --cell-limit: must be at least 1"),
+        (("free", "--variety", "L2", "--rank", "2", "--cell-limit", "0"),
+         "argument --cell-limit: must be at least 1"),
+        (("check", "--algebra", "L2", "--identity", "x = x", "--budget", "0"),
+         "argument --budget: must be at least 1"),
+        (("check", "--algebra", "L2", "--identity", "x = x", "--budget", "-1"),
+         "argument --budget: must be at least 1"),
+        # the variety layer has one budget, --cell-limit
+        (("member", "--algebra", "L2", "--variety", "S4_475", "--closure-limit", "10"),
+         "unrecognized arguments: --closure-limit 10"),
+        (("free", "--variety", "L2", "--rank", "2", "--closure-limit", "10"),
+         "unrecognized arguments: --closure-limit 10"),
+    ],
+)
+def test_bad_budget_flags_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("check", "--algebra", "builtin:S58", "--identity", "xy=xz"),
@@ -344,10 +379,8 @@ def test_parser_defaults_match_library_signatures():
         (["check", "--algebra", "L2"], satisfies, ("budget",)),
         (["derive", "--target", "x = x"], derive_bounded,
          ("depth", "size_factor", "node_budget")),
-        (["member", "--algebra", "L2", "--variety", "L2"], member,
-         ("closure_limit", "cell_limit")),
-        (["free", "--variety", "L2", "--rank", "1"], free_algebra,
-         ("closure_limit", "cell_limit")),
+        (["member", "--algebra", "L2", "--variety", "L2"], member, ("cell_limit",)),
+        (["free", "--variety", "L2", "--rank", "1"], free_algebra, ("cell_limit",)),
     ]
     for argv, func, names in cases:
         args = parser.parse_args(argv)

@@ -468,7 +468,29 @@ def test_budget_errors_are_not_answers():
     with pytest.raises(ResourceBudgetError):
         member(g("S4_475"), R_SPEC, cell_limit=10)
     with pytest.raises(ResourceBudgetError):
-        free_algebra(R_SPEC, 2, closure_limit=2)
+        free_algebra(R_SPEC, 2, cell_limit=2 * 16)  # two vectors of width 16
+
+
+@pytest.mark.parametrize("cold", [True, False], ids=["cold", "cached"])
+def test_cell_limit_cuts_exactly_at_size_times_width(cold):
+    # the rank-k closure holds size x width vector cells, so that product
+    # is the least budget that admits it, whether built afresh or cached
+    uni = _universe(R_SPEC, 2)
+    assert (uni.size, uni.width) == (15, 16)
+    cells = uni.size * uni.width
+    calls = (
+        lambda limit: free_algebra(R_SPEC, 2, cell_limit=limit).algebra.order == 15,
+        lambda limit: member(g("L2"), R_SPEC, cell_limit=limit).member,
+    )
+    for call in calls:
+        for limit, fits in ((cells - uni.width, False), (cells, True)):
+            if cold:
+                variety._universe_cache.clear()
+            if fits:
+                assert call(limit)
+            else:
+                with pytest.raises(ResourceBudgetError):
+                    call(limit)
 
 
 def test_closed_form_agrees_with_member_up_to_order_4():
@@ -583,14 +605,22 @@ def test_closed_form_cache_stays_bounded(monkeypatch):
     # entry evicts the least recently used one
     monkeypatch.setattr(variety, "_CLOSED_FORM_CACHE_CELLS", 84)
     variety._closed_forms.clear()
-    a, b, c, d = (spec(f"V(T2)#{i}", "T2") for i in range(4))
+    a, b, c, d = (spec(f"V({n})", n) for n in ("T2", "N2", "L2", "S58"))
     _closed_form(a, 1)
     _closed_form(b, 2)
     _closed_form(c, 3)
     _closed_form(a, 1)  # a is now the most recently used
     _closed_form(d, 2)
-    assert list(variety._closed_forms) == [(c, 3), (a, 1), (d, 2)]
+    assert list(variety._closed_forms) == [(c.key(), 3), (a.key(), 1), (d.key(), 2)]
     assert _cached_cells() == 84
+
+
+def test_closed_form_cache_ignores_labels():
+    # a join spec such as V(L2)+V(N2) reuses the entry of V(L2,N2)
+    variety._closed_forms.clear()
+    rep = _closed_form(spec("V(L2,N2)", "L2", "N2"), 2)
+    assert _closed_form(spec("V(L2)+V(N2)", "L2", "N2"), 2) is rep
+    assert list(variety._closed_forms) == [(spec("", "L2", "N2").key(), 2)]
 
 
 def test_rank_9_closed_form_leaves_the_cache_within_its_cap():
@@ -600,7 +630,7 @@ def test_rank_9_closed_form_leaves_the_cache_within_its_cap():
     trivial = spec("T", "trivial")
     assert holds_in(trivial, " + ".join(f"x{i}" for i in range(1, 10)) + " = x1")
     assert _cached_cells() <= variety._CLOSED_FORM_CACHE_CELLS
-    assert (trivial, 9) in variety._closed_forms
+    assert (trivial.key(), 9) in variety._closed_forms
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
