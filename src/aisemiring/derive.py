@@ -9,11 +9,12 @@ a step may keep the matched occurrence alongside the replacement
 (additive idempotency) or replace it.
 
 `derive_bounded` searches for a rewrite chain from one side of the
-target to the other by iterative deepening; if no direct chain exists
-within the depth bound it falls back to the sum decomposition, proving
-each absorption piece separately and assembling the results with
-congruence and transitivity steps. Either way the result replays
-step by step, independently of the search.
+target to the other by iterative deepening. If no direct chain exists
+within the depth bound it proves each nontrivial piece of
+`terms.decompose_identity` by its own chain and joins the pieces with
+congruence, symmetry and transitivity steps. Both routes append to one
+plain list of steps, and `_fold` chains each rewrite sequence into one
+conclusion; `replay_proof` re-checks every step without the search.
 
 The search computes each candidate rewrite on plain word sets and
 caches a compact edge record per successor; it builds a `ProofStep`
@@ -26,7 +27,7 @@ fail there. `replay_proof` runs that checked rewrite on every step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .algebra import ResourceBudgetError
@@ -34,6 +35,7 @@ from .terms import (
     Identity,
     TermNF,
     Word,
+    decompose_identity,
     parse_identity,
     substitute,
     word_str,
@@ -328,24 +330,21 @@ class _Search:
         return None
 
 
-class _Builder:
-    def __init__(self):
-        self.steps: list[ProofStep] = []
+def _trans(steps: list[ProofStep], a: int, b: int) -> int:
+    """Append the transitivity step joining steps a and b; returns its index."""
+    result = Identity(steps[a].result.lhs, steps[b].result.rhs)
+    steps.append(ProofStep(kind="transitivity", result=result, premises=(a, b)))
+    return len(steps) - 1
 
-    def add(self, step: ProofStep) -> int:
-        self.steps.append(step)
-        return len(self.steps) - 1
 
-    def chain_into_one(self, indices: list[int]) -> int:
-        """Fold consecutive links with transitivity; returns the index of
-        the combined conclusion."""
-        acc = indices[0]
-        for nxt in indices[1:]:
-            combined = Identity(self.steps[acc].result.lhs, self.steps[nxt].result.rhs)
-            acc = self.add(
-                ProofStep(kind="transitivity", result=combined, premises=(acc, nxt))
-            )
-        return acc
+def _fold(steps: list[ProofStep], links: list[ProofStep]) -> int:
+    """Append a rewrite chain and fold its links into one conclusion with
+    transitivity steps; returns the index of that conclusion."""
+    acc = len(steps)
+    steps.extend(links)
+    for nxt in range(acc + 1, len(steps)):
+        acc = _trans(steps, acc, nxt)
+    return acc
 
 
 def _normalize_basis(basis) -> tuple[tuple[str, Identity], ...]:
@@ -395,134 +394,124 @@ def derive_bounded(
     search = _Search(rules, candidates, size_cap, node_budget)
 
     # direct chain from left to right
+    steps: list[ProofStep] = []
     links = search.chain(target.lhs, target.rhs, depth)
     if links is not None:
-        builder = _Builder()
-        conclusion = builder.chain_into_one([builder.add(s) for s in links])
-        assert builder.steps[conclusion].result == target
-        return Proof(
-            named, target, tuple(builder.steps), depth=len(links), nodes=search.nodes
-        )
+        conclusion = _fold(steps, links)
+        assert steps[conclusion].result == target
+        return Proof(named, target, tuple(steps), depth=len(links), nodes=search.nodes)
 
-    # sum decomposition fallback: for each side, prove side = side + w for
-    # each word w of the other side and fold it into side = side + other
-    builder = _Builder()
+    # sum decomposition fallback: prove each nontrivial piece side = side + w
+    # of decompose_identity, fold each side's pieces into side = lhs + rhs
+    # with congruence and transitivity, then join the two sides
+    total = target.lhs + target.rhs
+    pieces = decompose_identity(target)
     side_ids = []
     longest = 0
-    for side, other in ((target.lhs, target.rhs), (target.rhs, target.lhs)):
+    for side in (target.lhs, target.rhs):
         acc, acc_idx = side, None
-        for w in other.words:
-            word = TermNF([w])
-            enlarged = side + word
-            if enlarged == side:
+        for piece in pieces:
+            if piece.trivial or piece.identity.lhs != side:
                 continue
-            links = search.chain(side, enlarged, depth)
+            links = search.chain(side, piece.identity.rhs, depth)
             if links is None:
                 return None
             longest = max(longest, len(links))
-            piece_idx = builder.chain_into_one([builder.add(s) for s in links])
-            if acc_idx is None:
-                acc_idx = piece_idx
-            else:
-                cong = builder.add(
+            idx = _fold(steps, links)
+            grown = acc + piece.identity.rhs
+            if acc_idx is not None:
+                steps.append(
                     ProofStep(
                         kind="add-congruence",
-                        result=Identity(acc, acc + word),
-                        premises=(piece_idx,),
+                        result=Identity(acc, grown),
+                        premises=(idx,),
                         context=acc,
                     )
                 )
-                acc_idx = builder.add(
-                    ProofStep(
-                        kind="transitivity",
-                        result=Identity(side, acc + word),
-                        premises=(acc_idx, cong),
-                    )
-                )
-            acc = acc + word
-        assert acc == side + other
+                idx = _trans(steps, acc_idx, len(steps) - 1)
+            acc, acc_idx = grown, idx
+        assert acc == total
         if acc_idx is None:
-            acc_idx = builder.add(
-                ProofStep(kind="reflexivity", result=Identity(side, side + other))
-            )
+            steps.append(ProofStep(kind="reflexivity", result=Identity(side, total)))
+            acc_idx = len(steps) - 1
         side_ids.append(acc_idx)
-    sym = builder.add(
-        ProofStep(
-            kind="symmetry",
-            result=builder.steps[side_ids[1]].result.swapped(),
-            premises=(side_ids[1],),
-        )
-    )
-    final = builder.add(
-        ProofStep(
-            kind="transitivity",
-            result=Identity(target.lhs, target.rhs),
-            premises=(side_ids[0], sym),
-        )
-    )
-    assert builder.steps[final].result == target
-    return Proof(
-        named, target, tuple(builder.steps), depth=longest, nodes=search.nodes
-    )
+    left, right = side_ids
+    swapped = steps[right].result.swapped()
+    steps.append(ProofStep(kind="symmetry", result=swapped, premises=(right,)))
+    conclusion = _trans(steps, left, len(steps) - 1)
+    assert steps[conclusion].result == target
+    return Proof(named, target, tuple(steps), depth=longest, nodes=search.nodes)
 
 
 # ---------------------------------------------------------------------------
 # replay
 
 
+# each step kind: its tag in `format_proof` and its number of premises
+_KINDS = {
+    "axiom-instance": ("by", 0),
+    "reflexivity": ("refl", 0),
+    "symmetry": ("sym", 1),
+    "transitivity": ("trans", 2),
+    "add-congruence": ("+cong", 1),
+    "mul-congruence": ("*cong", 1),
+    "substitution-instance": ("subst", 1),
+}
+
+
 def replay_proof(proof: Proof) -> tuple[bool, int | None]:
     """Re-execute every step independently of the search.
 
     Returns (True, None) when all steps check out and the conclusion is
-    the target, else (False, index-of-first-invalid-step).
+    the target, else (False, index-of-first-invalid-step). A step of an
+    unknown kind, or with the wrong number of premises or a premise that
+    is not an earlier step, is invalid; a proof without steps is
+    (False, 0).
     """
+    if not proof.steps:
+        return False, 0
     named = dict(proof.basis)
     for i, step in enumerate(proof.steps):
-        if any(p >= i or p < 0 for p in step.premises):
+        if step.kind not in _KINDS or len(step.premises) != _KINDS[step.kind][1]:
+            return False, i
+        if not all(0 <= p < i for p in step.premises):
             return False, i
         if not _replay_step(step, proof.steps, named):
             return False, i
-    last = proof.steps[-1]
-    if last.result != proof.target:
+    if proof.steps[-1].result != proof.target:
         return False, len(proof.steps) - 1
     return True, None
 
 
 def _replay_step(step: ProofStep, steps, named: dict[str, Identity]) -> bool:
+    """Check one step whose premise count `replay_proof` has checked."""
     kind = step.kind
     res = step.result
-    if kind in ("reflexivity", "normalize"):
-        # normal forms make normalization a structural equality check
+    prems = [steps[p].result for p in step.premises]
+    if kind == "reflexivity":
         return res.lhs == res.rhs
     if kind == "symmetry":
-        (p,) = step.premises
-        prem = steps[p].result
-        return res == Identity(prem.rhs, prem.lhs)
+        return res == prems[0].swapped()
     if kind == "transitivity":
-        p1, p2 = step.premises
-        a, b = steps[p1].result, steps[p2].result
+        a, b = prems
         return a.rhs == b.lhs and res == Identity(a.lhs, b.rhs)
     if kind == "add-congruence":
-        (p,) = step.premises
-        prem = steps[p].result
         if step.context is None:
             return False
+        (prem,) = prems
         return res == Identity(prem.lhs + step.context, prem.rhs + step.context)
     if kind == "mul-congruence":
-        (p,) = step.premises
-        prem = steps[p].result
-        lhs, rhs = prem.lhs, prem.rhs
+        lhs, rhs = prems[0].lhs, prems[0].rhs
         if step.left_factor is not None:
             lhs, rhs = step.left_factor * lhs, step.left_factor * rhs
         if step.right_factor is not None:
             lhs, rhs = lhs * step.right_factor, rhs * step.right_factor
         return res == Identity(lhs, rhs)
     if kind == "substitution-instance":
-        (p,) = step.premises
-        prem = steps[p].result
         if step.substitution is None:
             return False
         sigma = dict(step.substitution)
+        (prem,) = prems
         try:
             return res == Identity(
                 substitute(prem.lhs, sigma), substitute(prem.rhs, sigma)
@@ -550,17 +539,6 @@ def _replay_step(step: ProofStep, steps, named: dict[str, Identity]) -> bool:
 # ---------------------------------------------------------------------------
 # rendering
 
-_KIND_TAGS = {
-    "axiom-instance": "by",
-    "reflexivity": "refl",
-    "symmetry": "sym",
-    "transitivity": "trans",
-    "add-congruence": "+cong",
-    "mul-congruence": "*cong",
-    "substitution-instance": "subst",
-    "normalize": "norm",
-}
-
 
 def format_proof(proof: Proof) -> str:
     lines = [f"target: {proof.target}"]
@@ -571,7 +549,7 @@ def format_proof(proof: Proof) -> str:
         pretty = [str(chain[0].lhs)] + [str(s.rhs) for s in chain]
         lines.append("chain: " + " ≈ ".join(pretty))
     for i, step in enumerate(proof.steps):
-        tag = _KIND_TAGS.get(step.kind, step.kind)
+        tag = _KINDS[step.kind][0] if step.kind in _KINDS else step.kind
         detail = ""
         if step.kind == "axiom-instance":
             sub = ", ".join(f"{v}↦{t}" for v, t in step.substitution)
@@ -586,47 +564,33 @@ def format_proof(proof: Proof) -> str:
     return "\n".join(lines)
 
 
-def proof_to_json_dict(proof: Proof) -> dict:
-    def term(t: TermNF) -> str:
-        return str(t)
+def _json_value(value):
+    """One proof-step field as JSON: a term or identity as its text, a
+    word as its letters, an occurrence as an object, a tuple as a list."""
+    if isinstance(value, (TermNF, Identity)):
+        return str(value)
+    if isinstance(value, Occurrence):
+        return {f.name: _json_value(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        if value and all(isinstance(v, str) for v in value):
+            return word_str(value)
+        return [_json_value(v) for v in value]
+    return value
 
+
+def _step_json(step: ProofStep) -> dict:
+    entry = {f.name: _json_value(getattr(step, f.name)) for f in fields(step)}
+    if step.substitution is not None:
+        entry["substitution"] = dict(entry["substitution"])
+    return entry
+
+
+def proof_to_json_dict(proof: Proof) -> dict:
     return {
         "schema": 1,
         "basis": [{"label": l, "identity": str(i)} for l, i in proof.basis],
         "target": str(proof.target),
         "depth": proof.depth,
         "nodes": proof.nodes,
-        "steps": [
-            {
-                "kind": s.kind,
-                "result": str(s.result),
-                "premises": list(s.premises),
-                "axiom": s.axiom,
-                "direction": s.direction,
-                "substitution": (
-                    {v: term(t) for v, t in s.substitution}
-                    if s.substitution is not None
-                    else None
-                ),
-                "occurrence": (
-                    {
-                        "mode": s.occurrence.mode,
-                        "keep": s.occurrence.keep,
-                        "matched": [word_str(w) for w in s.occurrence.matched],
-                        "word": word_str(s.occurrence.word) if s.occurrence.word else None,
-                        "span": list(s.occurrence.span) if s.occurrence.span else None,
-                    }
-                    if s.occurrence is not None
-                    else None
-                ),
-                "context": term(s.context) if s.context is not None else None,
-                "left_factor": (
-                    term(s.left_factor) if s.left_factor is not None else None
-                ),
-                "right_factor": (
-                    term(s.right_factor) if s.right_factor is not None else None
-                ),
-            }
-            for s in proof.steps
-        ],
+        "steps": [_step_json(s) for s in proof.steps],
     }

@@ -96,21 +96,35 @@ def test_decomposition_fallback_assembles():
     assert_sound_over_catalog(proof)
 
 
-# sha256 of json.dumps(proof_to_json_dict(proof), sort_keys=True), pinned
-# from the two-pass fallback that proved every piece before assembling
+# sha256 of json.dumps(proof_to_json_dict(proof), sort_keys=True) and of
+# format_proof(proof). The JSON digests were pinned from the two-pass
+# fallback that proved every piece before assembling, the text digests from
+# the one-pass fallback that replaced it; both assemble the same steps.
 FALLBACK_DIGESTS = {
-    ("x = x + xx", "x+y = x+y+xx+yy"):
+    ("x = x + xx", "x+y = x+y+xx+yy"): (
         "72bad0e9fad7f06f67344466613838e0c7f34a69a79aed603b8e7d925abfbaa5",
-    ("x = x + xx", "x+y+z = x+y+z+xx+yy+zz"):
+        "6aa4a0b550604452b84767a99887c9e54cec59f574d76ddbb6c6296c1949f41a",
+    ),
+    ("x = x + xx", "x+y+z = x+y+z+xx+yy+zz"): (
         "b7d427feec4724acc0c5a9de59f5a126f5fd6bd1048c13cdd8b477e4c82ccfe2",
-    ("x = x + xy", "x + y = x + y + xy + yx"):
+        "287bd06c74b6eba9ef3bc2b7210e5f74950009e187ee7185e72d057035a09641",
+    ),
+    ("x = x + xy", "x + y = x + y + xy + yx"): (
         "66890538ece7b564e1b04657c35de9efd5fe1149bce2d869cfaed884515f4b4b",
-    ("xy = xz", "xy + yx = xx + yy"):
+        "ce647d25f4c8c975c9a9a805664b4c83ba109d17625dadbd5b6b6de511f19432",
+    ),
+    ("xy = xz", "xy + yx = xx + yy"): (
         "e37563c2440cb9583728f87f2f1c4a86ff8c9e755ec78400e7bb0b3b2ba975d2",
-    ("x = x + xx", "x + yy = x + xx + yy + yyyy"):
+        "be03390d913c0bb9f45099785afd63de58db9be8e309ec6bcadea34e4c0cdb15",
+    ),
+    ("x = x + xx", "x + yy = x + xx + yy + yyyy"): (
         "aadfe987a368609cbd5cc19dbf57bafe9c8c992394494d7c26f68378040b57b8",
-    ("x = x + xy", "xx + y = y + yx + xx + xxx"):
+        "3f92470afc0c1dfb76960304a552a7b5fe1291c04458ec4c37c357498dfacf88",
+    ),
+    ("x = x + xy", "xx + y = y + yx + xx + xxx"): (
         "b56e8e7583dce7921f24ff71ac8e3bed645649c151de28e5cde2ea347482ebdb",
+        "c6e6f5fe7a165234f4dfa8662d9fb41b7aadc17519aae841b77106b0e345138e",
+    ),
 }
 
 
@@ -118,10 +132,10 @@ FALLBACK_DIGESTS = {
 def test_fallback_proofs_are_pinned(basis, target):
     proof = derive_bounded([basis], target, depth=1)
     assert proof.steps[-2].kind == "symmetry"  # the decomposition route
+    json_digest, text_digest = FALLBACK_DIGESTS[(basis, target)]
     payload = json.dumps(proof_to_json_dict(proof), sort_keys=True)
-    assert hashlib.sha256(payload.encode()).hexdigest() == FALLBACK_DIGESTS[
-        (basis, target)
-    ]
+    assert hashlib.sha256(payload.encode()).hexdigest() == json_digest
+    assert hashlib.sha256(format_proof(proof).encode()).hexdigest() == text_digest
     assert replay_proof(proof) == (True, None)
 
 
@@ -168,6 +182,70 @@ def test_replay_rejects_broken_chain():
     )
     ok, first_bad = replay_proof(stranger)
     assert not ok
+
+
+_X_IS_X = Identity(term_of("x"), term_of("x"))
+_REFL = ProofStep(kind="reflexivity", result=_X_IS_X)
+
+
+@pytest.mark.parametrize(
+    ("steps", "first_bad"),
+    [
+        pytest.param((), 0, id="empty-proof"),
+        pytest.param(
+            (_REFL, ProofStep(kind="transitivity", result=_X_IS_X, premises=(0,))),
+            1,
+            id="transitivity-with-one-premise",
+        ),
+        pytest.param(
+            (_REFL, _REFL, ProofStep(kind="symmetry", result=_X_IS_X, premises=(0, 1))),
+            2,
+            id="symmetry-with-two-premises",
+        ),
+        pytest.param(
+            (
+                _REFL,
+                _REFL,
+                ProofStep(
+                    kind="add-congruence",
+                    result=_X_IS_X,
+                    premises=(0, 1),
+                    context=term_of("x"),
+                ),
+            ),
+            2,
+            id="add-congruence-with-two-premises",
+        ),
+        pytest.param(
+            (
+                _REFL,
+                ProofStep(kind="mul-congruence", result=_X_IS_X, left_factor=term_of("x")),
+            ),
+            1,
+            id="mul-congruence-without-a-premise",
+        ),
+        pytest.param(
+            (
+                _REFL,
+                _REFL,
+                ProofStep(
+                    kind="substitution-instance",
+                    result=_X_IS_X,
+                    premises=(0, 1),
+                    substitution=(("x", term_of("x")),),
+                ),
+            ),
+            2,
+            id="substitution-instance-with-two-premises",
+        ),
+        pytest.param(
+            (_REFL, ProofStep(kind="normalize", result=_X_IS_X)), 1, id="normalize-step"
+        ),
+    ],
+)
+def test_replay_rejects_malformed_proofs(steps, first_bad):
+    proof = Proof((("b1", parse_identity("x = xx")),), _X_IS_X, steps, depth=0, nodes=0)
+    assert replay_proof(proof) == (False, first_bad)
 
 
 def test_mul_congruence_and_substitution_steps_replay():
