@@ -45,7 +45,7 @@ LAWS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AxiomReport:
     commutative_add: bool
     idempotent_add: bool
@@ -63,7 +63,29 @@ class AxiomReport:
         return [law for law in LAWS if not getattr(self, law)]
 
 
+def _is_frozen(rows, n: int) -> bool:
+    """Whether `rows` is already a Table: n tuples of n exact ints in 0..n-1."""
+    return (
+        type(rows) is tuple
+        and len(rows) == n
+        and all(
+            type(row) is tuple
+            and len(row) == n
+            and all(type(x) is int and 0 <= x < n for x in row)
+            for row in rows
+        )
+    )
+
+
 def _freeze_table(rows: Iterable[Sequence[int]], n: int, which: str) -> Table:
+    """`rows` as a Table, raising TableFormatError on a bad shape or entry.
+
+    A table that is already frozen is returned as it is, so algebras
+    built from shared tables (one add table per reduct, interned mul
+    rows) share them instead of holding copies.
+    """
+    if _is_frozen(rows, n):
+        return rows
     out = []
     for row in rows:
         row = tuple(int(x) for x in row)

@@ -348,17 +348,26 @@ def _fold(steps: list[ProofStep], links: list[ProofStep]) -> int:
 
 
 def _normalize_basis(basis) -> tuple[tuple[str, Identity], ...]:
+    """(label, identity) pairs; an unlabelled entry i is labelled b{i + 1}.
+
+    Raises ValueError on a repeated label, since a proof names its
+    axioms by label.
+    """
     out = []
+    seen = set()
     for i, entry in enumerate(basis):
         if isinstance(entry, str):
             entry = parse_identity(entry)
         if isinstance(entry, Identity):
-            out.append((f"b{i + 1}", entry))
+            label, ident = f"b{i + 1}", entry
         else:
             label, ident = entry
             if isinstance(ident, str):
                 ident = parse_identity(ident)
-            out.append((label, ident))
+        if label in seen:
+            raise ValueError(f"basis label {label!r} is used twice")
+        seen.add(label)
+        out.append((label, ident))
     return tuple(out)
 
 
@@ -552,9 +561,16 @@ def format_proof(proof: Proof) -> str:
         tag = _KINDS[step.kind][0] if step.kind in _KINDS else step.kind
         detail = ""
         if step.kind == "axiom-instance":
-            sub = ", ".join(f"{v}↦{t}" for v, t in step.substitution)
+            # a malformed step (replay rejects it) renders with placeholders
+            if step.substitution is None:
+                sub = "<no substitution>"
+            else:
+                sub = ", ".join(f"{v}↦{t}" for v, t in step.substitution)
             arrow = "l→r" if step.direction == "lr" else "r→l"
-            keep = "+keep" if step.occurrence.keep else ""
+            if step.occurrence is None:
+                keep = " <no occurrence>"
+            else:
+                keep = "+keep" if step.occurrence.keep else ""
             detail = f" [{tag} {step.axiom} {arrow}{keep}; {sub}]"
         elif step.premises:
             detail = f" [{tag} {','.join(str(p + 1) for p in step.premises)}]"

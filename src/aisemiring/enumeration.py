@@ -263,8 +263,14 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
 
 
 def _chunk_worker(args):
+    """One chunk's search, its tables packed into one bytes object.
+
+    Entries are below MAX_GENERAL_ORDER = 5 < 256, so each fits a byte;
+    the flat n x n tables are concatenated in result order.
+    """
     add_flat, n, auts, first_value, node_budget = args
-    return _mul_search(add_flat, n, auts, first_value, node_budget)
+    muls, nodes, completed = _mul_search(add_flat, n, auts, first_value, node_budget)
+    return b"".join(map(bytes, muls)), nodes, completed
 
 
 def enumerate_ai_semirings(
@@ -283,24 +289,32 @@ def enumerate_ai_semirings(
         raise ValueError(f"workers must be at least 1, got {workers}")
     started = time.perf_counter()
     chunks = []
+    adds = []  # the reduct of each chunk, one shared table per reduct
     for add in canonical_semilattices(n):
         add_flat = tuple(x for row in add for x in row)
         auts = tuple(p for p in _reduct_automorphisms(add) if p != tuple(range(n)))
         for v in range(n):
             chunks.append((add_flat, n, auts, v, node_budget))
+            adds.append(add)
 
     outputs = _run_chunks(chunks, workers)
 
     algebras: list[FiniteAlgebra] = []
     nodes = 0
     complete = True
-    for (add_flat, size, _auts, _v, _b), (muls, used, ok) in zip(chunks, outputs):
+    rows: dict[bytes, tuple[int, ...]] = {}  # interned mul rows
+    for add, (packed, used, ok) in zip(adds, outputs):
         nodes += used
         complete = complete and ok
-        add = tuple(tuple(add_flat[i * size + j] for j in range(size)) for i in range(size))
-        for flat in muls:
-            mul = tuple(tuple(flat[i * size + j] for j in range(size)) for i in range(size))
-            algebras.append(FiniteAlgebra(size, add, mul).validate())
+        for start in range(0, len(packed), n * n):
+            mul = []
+            for i in range(start, start + n * n, n):
+                key = packed[i : i + n]
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = tuple(key)
+                mul.append(row)
+            algebras.append(FiniteAlgebra(n, add, tuple(mul)).validate())
     return EnumerationReport(
         order=n,
         class_name="all",
@@ -383,10 +397,10 @@ def _orbit_minimal_endos(add: Table) -> list[tuple[int, ...]]:
     return keep
 
 
-def _row_constant_algebra(add: Table, f: tuple[int, ...]) -> FiniteAlgebra:
-    n = len(add)
-    mul = tuple((f[i],) * n for i in range(n))
-    return FiniteAlgebra(n, add, mul).validate()
+def _row_constant_algebra(add: Table, f: tuple[int, ...], rows: Table) -> FiniteAlgebra:
+    """x*y = f(x), built from rows[v] = (v,) * n, one shared row per value."""
+    mul = tuple(rows[v] for v in f)
+    return FiniteAlgebra(len(add), add, mul).validate()
 
 
 def enumerate_row_constant(n: int) -> EnumerationReport:
@@ -396,11 +410,12 @@ def enumerate_row_constant(n: int) -> EnumerationReport:
     started = time.perf_counter()
     algebras = []
     nodes = 0
+    rows = tuple((v,) * n for v in range(n))
     for add in canonical_semilattices(n):
         endos = _orbit_minimal_endos(add)
         nodes += len(_idempotent_additive_endos(add))
         for f in sorted(endos):
-            algebras.append(_row_constant_algebra(add, f))
+            algebras.append(_row_constant_algebra(add, f, rows))
     return EnumerationReport(
         order=n,
         class_name="row-constant",

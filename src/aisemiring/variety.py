@@ -286,7 +286,16 @@ class _Universe(_Vectors):
         return len(self.vectors)
 
 
-_universe_cache: dict[tuple, _Universe] = {}
+# closures by (spec.key(), rank), least recently used first; their
+# cells, _universe_cells each, sum to at most _UNIVERSE_CACHE_CELLS
+_universe_cache: OrderedDict[tuple[tuple, int], _Universe] = OrderedDict()
+_UNIVERSE_CACHE_CELLS = 4 * 10**6
+
+
+def _universe_cells(uni: _Universe) -> int:
+    """The size x width vector cells plus the 2 x size^2 cells of the
+    operation tables; a rank-5 V(S4_475) closure holds 3,140,610."""
+    return uni.size * (uni.width + 2 * uni.size)
 
 
 def _universe(
@@ -298,9 +307,15 @@ def _universe(
         raise ResourceBudgetError(
             f"evaluation vectors of length {width} exceed the cell budget"
         )
-    if key not in _universe_cache:
-        _universe_cache[key] = _Universe(spec.generators, k, cell_limit)
-    uni = _universe_cache[key]
+    uni = _universe_cache.get(key)
+    if uni is not None:
+        _universe_cache.move_to_end(key)
+    else:
+        uni = _universe_cache[key] = _Universe(spec.generators, k, cell_limit)
+        cells = sum(map(_universe_cells, _universe_cache.values()))
+        while cells > _UNIVERSE_CACHE_CELLS:
+            _key, old = _universe_cache.popitem(last=False)
+            cells -= _universe_cells(old)
     # enforce the caller's budget even when the closure is already cached,
     # so budget errors do not depend on call order
     if uni.size * width > cell_limit:

@@ -2,6 +2,7 @@
 forms, isomorphism and subalgebra search."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -113,6 +114,40 @@ def test_malformed_tables_rejected():
         FiniteAlgebra(2, ((0, 2), (1, 1)), CHAIN_ADD)
     with pytest.raises(TableFormatError):
         FiniteAlgebra(0, (), ())
+
+
+def test_freeze_table_messages_and_conversions():
+    with pytest.raises(TableFormatError, match="add row has length 1, expected 2"):
+        FiniteAlgebra(2, ((0,), (1, 1)), CHAIN_ADD)
+    with pytest.raises(TableFormatError, match="add has 1 rows, expected 2"):
+        FiniteAlgebra(2, ((0, 1),), CHAIN_ADD)
+    with pytest.raises(TableFormatError, match=r"mul entry 2 out of range 0\.\.1"):
+        FiniteAlgebra(2, CHAIN_ADD, ((0, 2), (1, 1)))
+    with pytest.raises(TableFormatError, match=r"mul entry -1 out of range 0\.\.1"):
+        FiniteAlgebra(2, CHAIN_ADD, [[0, -1], [1, 1]])
+    # bools and lists are converted to tuples of ints
+    for add in ([[0, 1], [1, 1]], ((False, True), (True, True))):
+        a = FiniteAlgebra(2, add, [[0, 0], [0, 0]])
+        assert a.add == CHAIN_ADD and a.add is not add
+        assert all(type(x) is int for row in a.add + a.mul for x in row)
+        assert type(a.mul) is tuple and all(type(row) is tuple for row in a.mul)
+    # an in-range frozen table is kept as it is
+    zero = ((0, 0), (0, 0))
+    b = FiniteAlgebra(2, CHAIN_ADD, zero)
+    assert b.add is CHAIN_ADD and b.mul is zero
+
+
+def test_validated_algebra_survives_pickle():
+    a = catalog.get("S4_475").validate()
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and b.name == a.name and b.is_validated
+    assert b.axiom_report() == a.axiom_report()
+    # a failing report travels with its witnesses
+    bad = FiniteAlgebra(2, ((1, 1), (1, 1)), ((0, 0), (0, 0)))
+    report = pickle.loads(pickle.dumps(bad.axiom_report()))
+    assert report == bad.axiom_report() and report.witnesses["idempotent_add"] == (0,)
+    assert pickle.loads(pickle.dumps(bad))._report == report
+    assert not hasattr(report, "__dict__")
 
 
 def test_axiom_failure_distinct_from_format_error():

@@ -307,6 +307,34 @@ def test_bad_configuration():
         derive_bounded(["xy = xz"], "xy = xx", size_factor=0)
 
 
+def test_repeated_basis_label_rejected():
+    with pytest.raises(ValueError, match="'L' is used twice"):
+        derive_bounded([("L", "xy = xz"), ("L", "x = x + xx")], "xy = xx")
+    # an explicit label may not repeat an automatic one either
+    with pytest.raises(ValueError, match="'b1' is used twice"):
+        _normalize_basis(["xy = xz", ("b1", "x = x + xx")])
+    proof = derive_bounded([("L", "xy = xz"), ("M", "x = x + xx")], "xy = xx")
+    assert replay_proof(proof) == (True, None)
+
+
+@pytest.mark.parametrize("missing", ["substitution", "occurrence"])
+def test_format_proof_renders_a_malformed_axiom_step(missing):
+    step = ProofStep(
+        kind="axiom-instance",
+        result=Identity(term_of("x"), term_of("x + xx")),
+        axiom="b1",
+        direction="lr",
+        substitution=(("x", term_of("x")),),
+        occurrence=Occurrence(mode="summands", keep=False, matched=(("x",),)),
+    )
+    step = dataclasses.replace(step, **{missing: None})
+    proof = Proof(
+        (("b1", parse_identity("x = x + xx")),), step.result, (step,), depth=1, nodes=0
+    )
+    assert replay_proof(proof) == (False, 0)
+    assert f"<no {missing}>" in format_proof(proof).splitlines()[-1]
+
+
 def test_other_displayed_absorption_chains():
     # one-word absorptions behind the catalog bases, at representative
     # instantiations; each proof must replay and be catalog-sound

@@ -287,6 +287,17 @@ def test_streams_deterministic_across_workers():
     assert [(a.add, a.mul) for a in base.items] == [(a.add, a.mul) for a in multi.items]
 
 
+def test_emitted_algebras_share_their_tables():
+    items = enumerate_ai_semirings(4).items
+    assert all(a.is_validated for a in items)
+    # one add object per reduct, and each mul row value held once
+    assert len({id(a.add) for a in items}) == len(canonical_semilattices(4))
+    rows = {id(row) for a in items for row in a.mul}
+    assert len(rows) == len({row for a in items for row in a.mul}) <= 4**4
+    items = enumerate_row_constant(5).items
+    assert len({id(row) for a in items for row in a.mul}) == 5
+
+
 def test_rerun_is_identical():
     one = enumerate_ai_semirings(3)
     two = enumerate_ai_semirings(3)

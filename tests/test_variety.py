@@ -615,6 +615,30 @@ def test_closed_form_cache_stays_bounded(monkeypatch):
     assert _cached_cells() == 84
 
 
+def _cached_universe_cells():
+    return sum(map(variety._universe_cells, variety._universe_cache.values()))
+
+
+def test_universe_cache_stays_bounded(monkeypatch):
+    # one rank-5 V(S4_475) closure, 1,023 vectors of width 4^5, fits
+    assert variety._UNIVERSE_CACHE_CELLS >= 1023 * (4**5 + 2 * 1023)
+    # with room for 12 + 30 + 48 cells, a second 30-cell closure evicts
+    # the least recently used one
+    monkeypatch.setattr(variety, "_UNIVERSE_CACHE_CELLS", 90)
+    variety._universe_cache.clear()
+    a, b, c, d = (spec(f"V({n})", n) for n in ("T2", "L2", "N2", "R2"))
+    variety._universe(a, 1)
+    variety._universe(b, 2)
+    variety._universe(c, 2)
+    variety._universe(a, 1)  # a is now the most recently used
+    variety._universe(d, 2)
+    assert list(variety._universe_cache) == [(c.key(), 2), (a.key(), 1), (d.key(), 2)]
+    assert _cached_universe_cells() == 90
+    # a closure larger than the whole cap is returned but not kept
+    assert variety._universe(spec("V(S58)", "S58"), 2).size == 8
+    assert not variety._universe_cache
+
+
 def test_closed_form_cache_ignores_labels():
     # a join spec such as V(L2)+V(N2) reuses the entry of V(L2,N2)
     variety._closed_forms.clear()
