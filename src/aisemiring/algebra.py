@@ -64,17 +64,19 @@ class AxiomReport:
 
 
 def _is_frozen(rows, n: int) -> bool:
-    """Whether `rows` is already a Table: n tuples of n exact ints in 0..n-1."""
-    return (
-        type(rows) is tuple
-        and len(rows) == n
-        and all(
-            type(row) is tuple
-            and len(row) == n
-            and all(type(x) is int and 0 <= x < n for x in row)
-            for row in rows
-        )
-    )
+    """Whether `rows` is already a Table: n tuples of n exact ints in 0..n-1.
+
+    Each distinct row object is checked once, so a table whose rows are
+    interned (a free algebra's constant product rows) costs one check per
+    distinct row.
+    """
+    if type(rows) is not tuple or len(rows) != n:
+        return False
+    distinct = {id(row): row for row in rows}.values()
+    if not all(type(row) is tuple and len(row) == n for row in distinct):
+        return False
+    entries = [*itertools.chain.from_iterable(distinct)]
+    return set(map(type, entries)) == {int} and 0 <= min(entries) and max(entries) < n
 
 
 def _freeze_table(rows: Iterable[Sequence[int]], n: int, which: str) -> Table:

@@ -33,9 +33,13 @@ same way: both sides reduce to subsets, and the identity holds exactly
 when they share a class. `compare`, and through it `build_lattice`, use
 the same test when the candidate and the generators all lie in R, or all
 in its dual (yx = zx, through `dual`); other inputs go through the
-closure. `member` keeps the closure for its separating-identity
-certificate, and `free_algebra` for its tables and witnesses; for a spec
-inside R the closed form cross-checks the free algebra's order.
+closure. `member` and `free_algebra` need the free algebra itself, with
+its tables and witnesses. For a spec inside R or its dual whose closed
+form fits the cell budget, _universe builds it without the closure: it
+runs the closure's sweep over the closed form's classes, which gives
+the same elements in the same order, hence the same witnesses and
+separating identities (see _Universe). Other specs, and closed forms
+over the budget, take the closure.
 """
 
 from __future__ import annotations
@@ -116,12 +120,12 @@ class _Vectors:
 
     def decode(self, vector) -> tuple[int, ...]:
         """Vector entries as local generator elements (offsets removed)."""
-        out = []
+        out: list[int] = []
         pos = 0
         for _g, offset, count in self.blocks:
-            for _ in range(count):
-                out.append(vector[pos] - offset)
-                pos += 1
+            block = vector[pos : pos + count]
+            out.extend((x - offset for x in block) if offset else block)
+            pos += count
         return tuple(out)
 
     def _pair_tables(self):
@@ -167,82 +171,105 @@ class _Vectors:
 class _Universe(_Vectors):
     """The rank-k free algebra of V(generators), with witnesses.
 
-    Elements are indexed in discovery order of the deterministic
-    closure; `add_tab`/`mul_tab` are complete operation tables on those
-    indices.
+    Elements are indexed in discovery order of the deterministic sweep
+    (see _sweep); `add_tab`/`mul_tab` are complete operation tables on
+    those indices, equal rows of `mul_tab` sharing one tuple.
+
+    With `closed_form` = (rep, flipped), rep being the closed form of
+    F_R(k) for the generators (dualised when `flipped`), the sweep runs
+    over rep's classes instead of evaluation vectors: S + T is
+    rep[S | T], and S.T is rep[sq(S)] inside R and rep[sq(T)] inside its
+    dual, sq(S) being the squares x_i x_i of the variables S mentions.
+    Classes and vectors correspond one to one and so do the operations,
+    so the sweep discovers the same elements in the same order as the
+    closure does, and `vectors` are the joins of the classes' subsets.
     """
 
-    def __init__(self, generators, k, cell_limit):
+    def __init__(self, generators, k, cell_limit, closed_form=None):
         super().__init__(generators, k)
-        self._close(self._seed_vectors(), cell_limit)
+        self.checked_form = None  # the closed form _universe last checked
+        if closed_form is None:
+            self.vectors = self._sweep(*self._vector_ops(), cell_limit // self.width)
+        else:
+            joins = _letter_joins(self)
+            classes = self._sweep(*_class_ops(k, *closed_form), cell_limit // self.width)
+            self.vectors = [joins[c] for c in classes]
 
-    # -- closure --------------------------------------------------------------
+    def _vector_ops(self):
+        """Seeds, element form and step of the closure over evaluation
+        vectors (see _sweep). Packed vectors take their integer form, so
+        u + v and uv share one pair code and differ only in the
+        translation table."""
+        seeds = self._seed_vectors()
+        if not self._packed:
+            add_map, mul_map = self._add_map, self._mul_map
 
-    def _close(self, seeds, cell_limit):
-        """Worklist closure of the seed vectors under both operations,
-        recording the operation tables as it goes.
+            def step(u, v):
+                return (
+                    tuple(add_map[p] for p in zip(u, v)),
+                    tuple(mul_map[p] for p in zip(u, v)),
+                    tuple(mul_map[b, a] for a, b in zip(u, v)),
+                )
+
+            return seeds, lambda u: u, step
+        width, add_pair, mul_pair = self.width, self._add_pair, self._mul_pair
+
+        def step(iu, iv):
+            pair = (iu << 4 | iv).to_bytes(width, "big")
+            flipped = (iv << 4 | iu).to_bytes(width, "big")
+            return pair.translate(add_pair), pair.translate(mul_pair), flipped.translate(mul_pair)
+
+        return seeds, lambda u: int.from_bytes(u, "big"), step
+
+    def _sweep(self, seeds, form, step, max_size) -> list:
+        """Worklist closure of the seed keys under both operations,
+        recording the operation tables as it goes; returns the keys by
+        index.
 
         Elements are indexed in discovery order (seeds first, then new
-        vectors as the deterministic add/mul/mul-flipped sweep produces
-        them); each element records how it was first derived, so witness
-        terms can be rebuilt on demand without allocating terms here.
-        Sweep step (pos, j <= pos) yields add_tab[pos][j] = add_tab[j][pos],
+        keys as the deterministic add/mul/mul-flipped sweep produces
+        them). `form(key)` is taken once per element, and
+        step(form(u), form(v)) gives the keys of u + v, uv and vu. Each
+        element records how it was first derived, so witness terms can be
+        rebuilt on demand without allocating terms here. Sweep step
+        (pos, j <= pos) yields add_tab[pos][j] = add_tab[j][pos],
         mul_tab[pos][j] and mul_tab[j][pos]. Row pos is started at step
         (pos, 0) and every earlier row j gains column pos at step
-        (pos, j), so each row is built by appending in index order.
+        (pos, j), so each row is built by appending in index order. More
+        than `max_size` elements raise ResourceBudgetError.
         """
-        vectors: list = []
+        keys: list = []
         parents: list[tuple] = []  # ("x", i) or ("+"/"*", left_idx, right_idx)
         index: dict = {}
-        for i, vec in enumerate(seeds):
-            if vec not in index:
-                index[vec] = len(vectors)
-                vectors.append(vec)
+        for i, key in enumerate(seeds):
+            if key not in index:
+                index[key] = len(keys)
+                keys.append(key)
                 parents.append(("x", i, -1))
 
-        packed, width = self._packed, self.width
-
-        def discover(vec, op, left, right) -> int:
-            if (len(vectors) + 1) * width > cell_limit:
+        def discover(key, op, left, right) -> int:
+            if len(keys) >= max_size:
                 raise ResourceBudgetError(
                     "free-algebra closure exceeded the configured budget"
                 )
-            index[vec] = idx = len(vectors)
-            vectors.append(vec)
+            index[key] = idx = len(keys)
+            keys.append(key)
             parents.append((op, left, right))
             return idx
 
-        if packed:
-            add_pair, mul_pair = self._add_pair, self._mul_pair
-        else:
-            add_map, mul_map = self._add_map, self._mul_map
-        # integer forms of the packed vectors, by index: u + v and uv share
-        # one pair code and differ only in the translation table
-        ints: list[int] = []
+        forms: list = []
         add_tab: list[list[int]] = []
         mul_tab: list[list[int]] = []
         pos = 0
-        while pos < len(vectors):
-            u = vectors[pos]
+        while pos < len(keys):
+            fu = form(keys[pos])
+            forms.append(fu)
             add_row: list[int] = []
             mul_row: list[int] = []
             add_tab.append(add_row)
             mul_tab.append(mul_row)
-            if packed:
-                iu = int.from_bytes(u, "big")
-                ints.append(iu)
             for j in range(pos + 1):
-                if packed:
-                    iv = ints[j]
-                    pair = (iu << 4 | iv).to_bytes(width, "big")
-                    total = pair.translate(add_pair)
-                    prod = pair.translate(mul_pair)
-                    flipped = (iv << 4 | iu).to_bytes(width, "big").translate(mul_pair)
-                else:
-                    v = vectors[j]
-                    total = tuple(add_map[a, b] for a, b in zip(u, v))
-                    prod = tuple(mul_map[a, b] for a, b in zip(u, v))
-                    flipped = tuple(mul_map[b, a] for a, b in zip(u, v))
+                total, prod, flipped = step(fu, forms[j])
                 s = index.get(total)
                 if s is None:
                     s = discover(total, "+", pos, j)
@@ -258,12 +285,13 @@ class _Universe(_Vectors):
                     add_tab[j].append(s)
                     mul_tab[j].append(q)
             pos += 1
-        self.vectors = vectors
+        rows: dict[tuple, tuple] = {}
+        self.add_tab = tuple(map(tuple, add_tab))
+        self.mul_tab = tuple(rows.setdefault(row, row) for row in map(tuple, mul_tab))
         self._parents = parents
         self._witnesses: dict[int, TermNF] = {}
-        self.add_tab = add_tab
-        self.mul_tab = mul_tab
-        self.seed_ids = [index[v] for v in seeds]
+        self.seed_ids = [index[key] for key in seeds]
+        return keys
 
     def witness(self, idx: int) -> TermNF:
         """A term that evaluates to element idx, following its first
@@ -286,7 +314,7 @@ class _Universe(_Vectors):
         return len(self.vectors)
 
 
-# closures by (spec.key(), rank), least recently used first; their
+# free algebras by (spec.key(), rank), least recently used first; their
 # cells, _universe_cells each, sum to at most _UNIVERSE_CACHE_CELLS
 _universe_cache: OrderedDict[tuple[tuple, int], _Universe] = OrderedDict()
 _UNIVERSE_CACHE_CELLS = 4 * 10**6
@@ -294,7 +322,8 @@ _UNIVERSE_CACHE_CELLS = 4 * 10**6
 
 def _universe_cells(uni: _Universe) -> int:
     """The size x width vector cells plus the 2 x size^2 cells of the
-    operation tables; a rank-5 V(S4_475) closure holds 3,140,610."""
+    operation tables; the rank-5 free algebra of V(S4_475), built from
+    the closed form or by closure alike, holds 3,140,610."""
     return uni.size * (uni.width + 2 * uni.size)
 
 
@@ -307,21 +336,28 @@ def _universe(
         raise ResourceBudgetError(
             f"evaluation vectors of length {width} exceed the cell budget"
         )
+    route = _closed_route(spec, k, cell_limit)
     uni = _universe_cache.get(key)
-    if uni is not None:
-        _universe_cache.move_to_end(key)
-    else:
-        uni = _universe_cache[key] = _Universe(spec.generators, k, cell_limit)
-        cells = sum(map(_universe_cells, _universe_cache.values()))
-        while cells > _UNIVERSE_CACHE_CELLS:
-            _key, old = _universe_cache.popitem(last=False)
-            cells -= _universe_cells(old)
-    # enforce the caller's budget even when the closure is already cached,
+    if uni is None:
+        uni = _Universe(spec.generators, k, cell_limit, route)
+    # enforce the caller's budget even when the universe is already cached,
     # so budget errors do not depend on call order
     if uni.size * width > cell_limit:
         raise ResourceBudgetError(
             f"free-algebra closure of size {uni.size} exceeds the configured budget"
         )
+    if route is not None and uni.checked_form is not route[0]:
+        # a cached universe is checked against each closed form it meets,
+        # so a corrupt one is caught whatever the call order and never
+        # cached; a closed form served from its cache is checked once
+        _check_closed_form(uni, route[0], spec.label)
+        uni.checked_form = route[0]
+    _universe_cache[key] = uni
+    _universe_cache.move_to_end(key)
+    cells = sum(map(_universe_cells, _universe_cache.values()))
+    while cells > _UNIVERSE_CACHE_CELLS:
+        _key, old = _universe_cache.popitem(last=False)
+        cells -= _universe_cells(old)
     return uni
 
 
@@ -346,14 +382,17 @@ def free_algebra(
 ) -> FreeAlgebraResult:
     """Rank-k relatively free algebra of V(spec) with witnesses.
 
-    `cell_limit` bounds the closure's size x width vector cells, width
-    being the sum of |g|^k over the generators g; past it
+    `cell_limit` bounds the free algebra's size x width vector cells,
+    width being the sum of |g|^k over the generators g; past it
     ResourceBudgetError is raised rather than a partial algebra
-    returned. Its axioms are checked only up to order 100 (an O(n^3)
-    check), not above. For a spec inside R whose closed form also fits
-    `cell_limit`, the order is checked at any size against a second
-    route: the number of classes of the closed form of rank k. A
-    mismatch raises RuntimeError.
+    returned. For a spec inside R or its dual whose closed form's
+    (4^k - 1) x width cells fit `cell_limit`, the algebra is built from
+    the closed form, and the closed form is checked at any size first:
+    each subset's join must equal its representative's, and the
+    representatives' joins must be distinct (else RuntimeError). Other
+    specs take the closure; the elements, tables and witnesses are the
+    same on both routes. The axioms are checked only up to order 100
+    (an O(n^3) check), not above.
     """
     if k < 1:
         raise ValueError("rank must be positive")
@@ -363,13 +402,6 @@ def free_algebra(
     )
     if algebra.order <= 100:
         algebra.validate()
-    if all(map(_in_r, spec.generators)) and (4**k - 1) * uni.width <= cell_limit:
-        classes = len(set(_closed_form(spec, k))) - 1  # rep[0] pads the empty subset
-        if classes != uni.size:
-            raise RuntimeError(
-                f"free algebra of {spec.label!r} at rank {k} has {uni.size} "
-                f"elements but the closed form of F_R({k}) has {classes} classes"
-            )
     return FreeAlgebraResult(
         algebra=algebra,
         rank=k,
@@ -400,13 +432,16 @@ def member(
 ) -> MembershipResult:
     """Decide whether `a` lies in the variety generated by the spec.
 
-    Gives each free-algebra element the value in `a` of its first
+    Reads the rank-|a| free algebra that _universe builds: from the
+    closed form for a spec inside R or its dual that fits `cell_limit`,
+    by closure otherwise, with the same elements and sweep order either
+    way. Gives each free-algebra element the value in `a` of its first
     derivation, starting from x_i -> a_i. `a` is a member exactly when
     this map is a homomorphism: every generator keeps its own value and
     every entry of the free algebra's tables takes the sum or product of
-    its factors' values. The first failure, in the closure's sweep
-    order, yields the separating identity: the element's witness on one
-    side, the failing sum or product of witnesses on the other.
+    its factors' values. The first failure, in the sweep order, yields
+    the separating identity: the element's witness on one side, the
+    failing sum or product of witnesses on the other.
     """
     a.validate()
     k = a.order
@@ -416,9 +451,9 @@ def member(
 
 
 def _separating_identity(a: FiniteAlgebra, uni: _Universe) -> Identity | None:
-    """witness(e) = t for the first free element e, in the closure's sweep
-    order, that a second derivation t sends to another value in `a`;
-    None when every derivation agrees."""
+    """witness(e) = t for the first free element e, in the sweep order,
+    that a second derivation t sends to another value in `a`; None when
+    every derivation agrees."""
     add, mul = a.add, a.mul
     values: list[int] = []
     for op, left, right in uni._parents:  # parents precede their children
@@ -678,7 +713,7 @@ def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
     whose join has the same evaluation vector as S over the spec's
     generators (rep[0] = 0 pads the empty subset).
 
-    Cached by the generators (spec.key(), as the closure cache is) and
+    Cached by the generators (spec.key(), as the universe cache is) and
     rank, so specs that differ only in label share an entry. An entry
     holds 4^k ints, and least recently used entries leave first once
     the entries together hold more than _CLOSED_FORM_CACHE_CELLS;
@@ -697,9 +732,7 @@ def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
     for g in spec.generators:
         if not _in_r(g):
             raise ValueError(f"generator {g!r} of {spec.label!r} falsifies xy = xz")
-    vectors = _Vectors(spec.generators, k)
-    seeds = vectors._seed_vectors()
-    joins = _subset_joins(seeds + [vectors.mul(x, x) for x in seeds], vectors.add)
+    joins = _letter_joins(_Vectors(spec.generators, k))
     first: dict = {}
     rep = tuple(first.setdefault(vec, subset) for subset, vec in enumerate(joins))
     _closed_forms[key] = rep
@@ -708,6 +741,74 @@ def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
         _key, old = _closed_forms.popitem(last=False)
         cells -= len(old)
     return rep
+
+
+def _letter_joins(vectors: _Vectors) -> list:
+    """joins[S] for every subset S of the 2k letters: its evaluation
+    vector over the generators, joins[0] = None."""
+    seeds = vectors._seed_vectors()
+    return _subset_joins(seeds + [vectors.mul(x, x) for x in seeds], vectors.add)
+
+
+def _closed_route(spec: VarietySpec, k: int, cell_limit: int):
+    """(rep, flipped) for a _Universe built from the closed form: rep of
+    the spec when every generator lies in R, rep of the dualised spec
+    with flipped set when every one lies in its dual. None, so that the
+    closure runs, for any other spec or when the closed form's
+    (4^k - 1) x width cells exceed `cell_limit`; the closure never holds
+    more cells than the closed form, so no budget verdict depends on the
+    route."""
+    width = sum(g.order**k for g in spec.generators)
+    if (4**k - 1) * width > cell_limit:
+        return None
+    if all(map(_in_r, spec.generators)):
+        return _closed_form(spec, k), False
+    generators = tuple(map(dual, spec.generators))
+    if all(map(_in_r, generators)):
+        return _closed_form(VarietySpec(spec.label, generators), k), True
+    return None
+
+
+def _class_ops(k: int, rep: tuple[int, ...], flipped: bool):
+    """Seeds, element form and step of the sweep over rep's classes (see
+    _Universe): a class's form is the pair (class, class of its square
+    set), so a product costs no lookup."""
+    low = (1 << k) - 1
+
+    def form(s):
+        return s, rep[((s | s >> k) & low) << k]
+
+    if flipped:
+
+        def step(u, v):
+            return rep[u[0] | v[0]], v[1], u[1]
+
+    else:
+
+        def step(u, v):
+            return rep[u[0] | v[0]], u[1], v[1]
+
+    return [rep[1 << i] for i in range(k)], form, step
+
+
+def _check_closed_form(uni: _Universe, rep: tuple[int, ...], label: str) -> None:
+    """Raise RuntimeError unless rep is the kernel of the subset joins
+    over uni's generators and has uni.size classes: each subset's join
+    equals its representative's, and the representatives' joins are
+    pairwise distinct. The joins of a subset agree over a generator and
+    its dual, so the check serves both routes."""
+    joins = _letter_joins(uni)
+    classes = set(rep[1:])  # rep[0] pads the empty subset
+    if (
+        any(joins[s] != joins[r] for s, r in enumerate(rep))
+        or len({joins[r] for r in classes}) != len(classes)
+        or len(classes) != uni.size
+    ):
+        raise RuntimeError(
+            f"free algebra of {label!r} at rank {uni.k} has {uni.size} "
+            f"elements but disagrees with the closed form of F_R({uni.k}), "
+            f"which has {len(classes)} classes"
+        )
 
 
 def _check_cell_budget(specs, k: int, limit: int = DEFAULT_CELL_LIMIT) -> None:
@@ -773,9 +874,9 @@ def _in_variety(
     classify_generated). When they all lie in the dual of R (yx = zx),
     the same test runs on dual(a) and the dualised generators, since
     `a` is in V(G) exactly when dual(a) is in V(dual G). Anything else
-    goes through `member`'s closure. `cell_limit` bounds whichever
-    route runs: the closed form's (4^|a| - 1) x width cells or the
-    closure's size x width cells.
+    goes through `member`. `cell_limit` bounds whichever route runs:
+    the closed form's (4^|a| - 1) x width cells or the free algebra's
+    size x width cells.
     """
     a.validate()
     k = a.order

@@ -137,6 +137,21 @@ def test_freeze_table_messages_and_conversions():
     assert b.add is CHAIN_ADD and b.mul is zero
 
 
+def test_interned_rows_are_kept_and_still_checked():
+    add = ((0, 1, 2), (1, 1, 2), (2, 2, 2))
+    row = (1, 1, 1)
+    shared = (row, row, row)
+    a = FiniteAlgebra(3, add, shared)
+    assert a.add is add and a.mul is shared
+    # a row object met three times is checked once, and still checked
+    with pytest.raises(TableFormatError, match=r"mul entry 3 out of range 0\.\.2"):
+        FiniteAlgebra(3, add, ((0, 0, 3),) * 3)
+    with pytest.raises(TableFormatError, match="mul row has length 2, expected 3"):
+        FiniteAlgebra(3, add, ((0, 0),) * 3)
+    b = FiniteAlgebra(3, add, ((0, True, 0),) * 3)
+    assert all(type(x) is int for row in b.mul for x in row)
+
+
 def test_validated_algebra_survives_pickle():
     a = catalog.get("S4_475").validate()
     b = pickle.loads(pickle.dumps(a))

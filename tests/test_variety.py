@@ -1,17 +1,24 @@
 """Variety membership, free algebras, comparison, the ten-variety lattice."""
 
+import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from aisemiring import catalog, variety
 from aisemiring.algebra import ResourceBudgetError, direct_product, dual, relabel
-from aisemiring.enumeration import enumerate_ai_semirings, enumerate_row_constant
+from aisemiring.enumeration import (
+    canonical_semilattices,
+    enumerate_ai_semirings,
+    enumerate_row_constant,
+)
 from gen_util import random_identity
 from aisemiring.satisfaction import evaluate, satisfies
 from aisemiring.terms import Identity, TermNF
 from aisemiring.variety import (
+    DEFAULT_CELL_LIMIT,
     EQUAL,
     INCOMPARABLE,
     LEFT_IN_RIGHT,
@@ -41,6 +48,17 @@ def spec(label, *names):
 
 
 R_SPEC = spec("R", "S4_475")
+
+
+@functools.lru_cache(maxsize=64)
+def _closure(generators, k):
+    return variety._Universe(generators, k, DEFAULT_CELL_LIMIT)
+
+
+def closure_member(a, s):
+    """member's verdict read from the closure, whichever route member
+    itself takes: the closure stays the oracle."""
+    return variety._separating_identity(a, _closure(s.generators, a.order)) is None
 
 
 def test_free_algebra_of_l2_rank_1_is_trivial():
@@ -390,8 +408,8 @@ def test_standard_order_comes_from_the_closed_form(monkeypatch):
 
 def _closure_verdict(v1, v2):
     """compare's verdict from member's closure alone."""
-    left_in_right = all(member(x, v2).member for x in v1.generators)
-    right_in_left = all(member(x, v1).member for x in v2.generators)
+    left_in_right = all(closure_member(x, v2) for x in v1.generators)
+    right_in_left = all(closure_member(x, v1) for x in v2.generators)
     return {
         (True, True): EQUAL,
         (True, False): LEFT_IN_RIGHT,
@@ -506,7 +524,11 @@ def test_closed_form_agrees_with_member_up_to_order_4():
                 values = _join_values(b)
                 for s in specs:
                     got = _closed_form_member(values, _closed_form(s, n))
-                    assert got == member(b, s).member, (b.add, b.mul, s.label)
+                    assert got == member(b, s).member == closure_member(b, s), (
+                        b.add,
+                        b.mul,
+                        s.label,
+                    )
                     members += got
                     checks += 1
     assert checks == 2 * (1 + 3 + 12 + 60) * 10
@@ -673,3 +695,104 @@ def test_free_algebra_order_mismatch_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="closed form"):
         free_algebra(spec("V(L2)", "L2"), 2)
     assert free_algebra(spec("T", "trivial"), 2).algebra.order == 1
+
+
+def test_corrupt_closed_form_is_caught_for_member_and_never_cached(monkeypatch):
+    def merged(spec, k):
+        return (0,) + (1,) * (4**k - 1)
+
+    monkeypatch.setattr(variety, "_closed_form", merged)
+    variety._universe_cache.clear()
+    with pytest.raises(RuntimeError, match="closed form"):
+        member(g("L2"), spec("V(L2)", "L2"))
+    assert not variety._universe_cache
+
+
+def _universe_fields(uni):
+    return (
+        uni._parents,
+        uni.add_tab,
+        uni.mul_tab,
+        uni.seed_ids,
+        [uni.decode(v) for v in uni.vectors],
+        [str(uni.witness(i)) for i in range(uni.size)],
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_replayed_universe_equals_the_closure(k):
+    # the sweep over closed-form classes discovers the closure's elements in
+    # the closure's order, inside R and (through the dual's closed form,
+    # with products read from the right factor) inside its dual
+    specs = standard_subvariety_specs() + (_dual_specs() if k <= 3 else [])
+    flipped = []
+    for s in specs:
+        route = variety._closed_route(s, k, DEFAULT_CELL_LIMIT)
+        assert route is not None, s.label
+        if route[1]:
+            flipped.append(s.label)
+        replayed = variety._Universe(s.generators, k, DEFAULT_CELL_LIMIT, route)
+        closure = variety._Universe(s.generators, k, DEFAULT_CELL_LIMIT)
+        assert _universe_fields(replayed) == _universe_fields(closure), (s.label, k)
+    assert ("dual R" in flipped) == (k <= 3)
+
+
+def test_member_certificates_agree_on_both_routes(monkeypatch):
+    algebras = [a for n in (1, 2, 3) for a in enumerate_ai_semirings(n).items]
+    specs = standard_subvariety_specs()
+    assert all(variety._closed_route(s, 3, DEFAULT_CELL_LIMIT) for s in specs)
+
+    def certificates():
+        variety._universe_cache.clear()
+        out = []
+        for a in algebras:
+            for s in specs:
+                res = member(a, s)
+                out.append((res.member, str(res.separating_identity), res.assignment))
+        return out
+
+    replayed = certificates()
+    monkeypatch.setattr(variety, "_closed_route", lambda *args: None)
+    assert certificates() == replayed
+    assert 0 < sum(verdict for verdict, _, _ in replayed) < len(replayed)
+
+
+def test_closed_form_over_the_budget_falls_back_to_the_closure():
+    # V(L2) at rank 8: the closure's 255 x 256 cells fit the default budget,
+    # the closed form's 65,535 x 256 do not, so the closure answers
+    l2 = spec("V(L2)", "L2")
+    assert 255 * 2**8 <= DEFAULT_CELL_LIMIT < (4**8 - 1) * 2**8
+    assert variety._closed_route(l2, 8, DEFAULT_CELL_LIMIT) is None
+    variety._universe_cache.clear()
+    assert free_algebra(l2, 8).algebra.order == 255
+
+
+def _top(a):
+    return next(t for t in range(a.order) if all(a.add[t][x] == t for x in range(a.order)))
+
+
+def _bottoms(a):
+    return [b for b in range(a.order) if all(a.add[b][x] == x for x in range(a.order))]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_three_label_counts_match_semilattice_counts(n):
+    # a third route to three label counts of the row-constant algebras:
+    # - V(L2): the product is xy = x, one algebra per semilattice;
+    # - V(T2): the product is constant at the top, one per semilattice;
+    # - V(N2): the product is constant at a bottom, and removing the bottom
+    #   maps these one to one onto the semilattices of order n - 1
+    pool = enumerate_row_constant(n).items
+    labels = Counter()
+    for a in pool:
+        label = classify_generated(a)
+        labels[label] += 1
+        products = {a.mul[x][y] for x in range(a.order) for y in range(a.order)}
+        if label == "V(L2)":
+            assert all(a.mul[x][y] == x for x in range(n) for y in range(n))
+        elif label == "V(T2)":
+            assert products == {_top(a)}
+        elif label == "V(N2)":
+            assert [*products] == _bottoms(a)
+    assert labels["V(L2)"] == labels["V(T2)"] == len(canonical_semilattices(n))
+    assert labels["V(N2)"] == len(canonical_semilattices(n - 1))
