@@ -592,8 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", help="semicolon-separated identities")
     p.add_argument("--basis-file")
     p.add_argument("--target", required=True)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--size-factor", type=int, default=DEFAULT_SIZE_FACTOR)
+    p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH)
+    p.add_argument("--size-factor", type=_positive_int, default=DEFAULT_SIZE_FACTOR)
     p.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     _add_common(p)
     p.set_defaults(func=cmd_derive)

@@ -22,6 +22,13 @@ only for the steps of the chain it returns. It never calls the checked
 `_apply_occurrence`: its matched words are images of summands of the
 state, and a factor span is the matched slice, so those checks cannot
 fail there. `replay_proof` runs that checked rewrite on every step.
+
+A rule whose source is one word matches inside one summand w at a
+time, and its matches, substitutions and replacement words depend only
+on (rule, w). Each search memoises those pieces per pair and reuses
+them in every state where w recurs; a state then only forms its next
+word sets. `Proof.nodes` still counts the states whose successors the
+search generated, so the memo changes neither proofs nor node counts.
 """
 
 from __future__ import annotations
@@ -213,7 +220,35 @@ def _image(words: Iterable[Word], sigma: dict[str, Word]) -> set[Word]:
     return {tuple(c for v in w for c in sigma[v]) for w in words}
 
 
-def _successors(state: TermNF, rules, candidates, size_cap):
+def _word_pieces(rule: _Rule, w: Word, candidates):
+    """The rewrites of a one-word rule.src inside the summand w, as two
+    lists of (sigma, mode, word, span, R) in the order `_successors`
+    visits them: the whole-word matches, then the factor spans. The
+    matched set M is {w} for every piece, so none of this depends on the
+    rest of the state.
+    """
+    pattern = rule.src.words[0]
+    bound = set(rule.src.variables())
+    fresh = [v for v in rule.dst.variables() if v not in bound]
+    whole, factor = [], []
+    for sigma in _match_word(pattern, w, {}):
+        for full in _fresh_assignments(fresh, sigma, candidates):
+            replacement = tuple(_image(rule.dst.words, full))
+            whole.append((full, "summands", None, None, replacement))
+    for i in range(len(w)):
+        # a span must host one nonempty factor per pattern variable
+        for j in range(i + len(pattern), len(w) + 1):
+            if (i, j) == (0, len(w)):
+                continue  # whole-word spans are summand matches
+            for sigma in _match_word(pattern, w[i:j], {}):
+                for full in _fresh_assignments(fresh, sigma, candidates):
+                    image = _image(rule.dst.words, full)
+                    spliced = tuple(w[:i] + u + w[j:] for u in image)
+                    factor.append((full, "factor", w, (i, j), spliced))
+    return whole, factor
+
+
+def _successors(state: TermNF, rules, candidates, size_cap, memo=None):
     """Deterministically ordered (next_state, edge) rewrites of state.
 
     Each candidate is computed on word sets: the matched words M and the
@@ -222,45 +257,48 @@ def _successors(state: TermNF, rules, candidates, size_cap):
     kept. A factor match has {w} for M and R spliced into w. An edge is
     the record (rule, sigma, mode, word, span, keep); `_step` turns it
     into a ProofStep.
+
+    When rule.src is one word, every match lies inside one summand w, so
+    its pieces depend only on (rule, w). `_word_pieces` computes them
+    once per pair into `memo`, which a caller may keep across the states
+    of one search (same rules and candidates). Rules whose source has
+    several words are matched against the whole state.
     """
-    here = set(state.words)
+    if memo is None:
+        memo = {}
+    here = frozenset(state.words)
     out = []
     seen = set()
-    for rule in rules:
+
+    def emit(rule, rest, sigma, mode, w, span, replacement):
+        for keep in (False, True):
+            words = (here if keep else rest).union(replacement)
+            if words == here or words in seen or sum(map(len, words)) > size_cap:
+                continue
+            seen.add(words)
+            out.append((TermNF(words), (rule, sigma, mode, w, span, keep)))
+
+    for index, rule in enumerate(rules):
+        if len(rule.src.words) == 1:
+            pieces = []
+            for w in state.words:
+                key = (index, w)
+                if key not in memo:
+                    memo[key] = _word_pieces(rule, w, candidates)
+                pieces.append((here - {w}, memo[key]))
+            for part in (0, 1):  # whole-word matches first, then factor spans
+                for rest, found in pieces:
+                    for piece in found[part]:
+                        emit(rule, rest, *piece)
+            continue
         # a match binds exactly the variables of rule.src
         bound = set(rule.src.variables())
         fresh = [v for v in rule.dst.variables() if v not in bound]
-        matches = []
         for sigma in _match_summands(rule.src.words, state):
-            matches.append(("summands", sigma, None, None))
-        if len(rule.src.words) == 1:
-            pattern = rule.src.words[0]
-            for w in state.words:
-                for i in range(len(w)):
-                    # a span must host one nonempty factor per pattern variable
-                    for j in range(i + len(pattern), len(w) + 1):
-                        if (i, j) == (0, len(w)):
-                            continue  # whole-word spans are summand matches
-                        for sigma in _match_word(pattern, w[i:j], {}):
-                            matches.append(("factor", sigma, w, (i, j)))
-        for mode, sigma, w, span in matches:
             for full in _fresh_assignments(fresh, sigma, candidates):
+                rest = here - _image(rule.src.words, full)
                 replacement = _image(rule.dst.words, full)
-                if mode == "summands":
-                    rest = here - _image(rule.src.words, full)
-                else:
-                    i, j = span
-                    replacement = {w[:i] + u + w[j:] for u in replacement}
-                    rest = here - {w}
-                for keep in (False, True):
-                    words = (here if keep else rest) | replacement
-                    if words == here or sum(map(len, words)) > size_cap:
-                        continue
-                    new = TermNF(words)
-                    if new in seen:
-                        continue
-                    seen.add(new)
-                    out.append((new, (rule, full, mode, w, span, keep)))
+                emit(rule, rest, full, "summands", None, None, replacement)
     return out
 
 
@@ -283,6 +321,10 @@ def _step(state: TermNF, new: TermNF, edge) -> ProofStep:
 
 
 class _Search:
+    """One iterative-deepening search: its successor lists per state,
+    `_successors`' per-(rule, word) memo, and the count of states it
+    expanded. Both caches live and die with the search."""
+
     def __init__(self, rules, candidates, size_cap, node_budget):
         self.rules = rules
         self.candidates = candidates
@@ -290,6 +332,7 @@ class _Search:
         self.node_budget = node_budget
         self.nodes = 0
         self._succ_cache: dict[TermNF, list] = {}
+        self._word_memo: dict[tuple[int, Word], tuple[list, list]] = {}
 
     def successors(self, state: TermNF):
         cached = self._succ_cache.get(state)
@@ -297,7 +340,9 @@ class _Search:
             self.nodes += 1
             if self.node_budget is not None and self.nodes > self.node_budget:
                 raise ResourceBudgetError("node budget exhausted")
-            cached = _successors(state, self.rules, self.candidates, self.size_cap)
+            cached = _successors(
+                state, self.rules, self.candidates, self.size_cap, self._word_memo
+            )
             self._succ_cache[state] = cached
         return cached
 

@@ -320,6 +320,11 @@ def test_workers_below_one_is_usage_error(capsys):
         ("enumerate", "--order", "3", "--node-budget", "-3"),
         ("derive", "--basis", "xy = xz", "--target", "xy = xx", "--node-budget", "-5"),
         ("derive", "--basis", "xy = xz", "--target", "xy = xx", "--node-budget", "0"),
+        # derive's other search bounds are checked the same way
+        ("derive", "--basis", "xy = xz", "--target", "xy = xx", "--depth", "0"),
+        ("derive", "--basis", "xy = xz", "--target", "xy = xx", "--depth", "-2"),
+        ("derive", "--basis", "xy = xz", "--target", "xy = xx", "--size-factor", "0"),
+        ("derive", "--basis", "xy = xz", "--target", "xy = xx", "--size-factor", "-2"),
     ],
 )
 def test_node_budget_below_one_is_usage_error(capsys, argv):
@@ -328,7 +333,7 @@ def test_node_budget_below_one_is_usage_error(capsys, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --node-budget: must be at least 1" in captured.err
+    assert f"argument {argv[-2]}: must be at least 1" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -139,6 +139,66 @@ def test_fallback_proofs_are_pinned(basis, target):
     assert replay_proof(proof) == (True, None)
 
 
+# (basis, target, depth): the chains of the derive benchmark with their
+# own bases and depths, then the chain of the criterion-10 `derive`
+# command, whose basis the CLI labels b1, b2. Which chain the search
+# finds depends on the order of the successor lists, so the sha256 of
+# json.dumps(proof_to_json_dict(proof), sort_keys=True) (which holds
+# `nodes`) and of format_proof(proof) pin that order as well.
+CHAIN_DIGESTS = {
+    ((("id0703", "xy = xz"),), "xy = xx", 8): (
+        "4fed3c1424cccedf06fa4c39e489439bae602d88d8e3a914aceb37050f447aff",
+        "c06d59d9e093fa743e4e390745e6423d4c654c19a4493b64b8bc85f4a16abb6b",
+    ),
+    ((("L", "xx = xx + yy"), ("id0703", "xy = xz")), "x1x2 = y1y2", 8): (
+        "07d41b565fd1f61ceb30c8002f63ae4652e66a679776faae952e9cf6f409cec3",
+        "57f0221a7845053e7a30590dd07421007b6f543baaa4786ef1512e9432250d13",
+    ),
+    ((("base_L2", "xy = x"),), "xx = xx + x", 8): (
+        "26fb2e2e48c56f00f0dcb9229231e89622b4ee58a9b192274e4449832c0cffce",
+        "0070c079d54137b4f7ea4192f5549501b1cb919879d2482869876fb13c102c6e",
+    ),
+    (
+        (("lt02", "xx = xx + x"), ("lt03", "x + yy = xx + yy"), ("id0703", "xy = xz")),
+        "xy = xy + x",
+        6,
+    ): (
+        "43997604a983538fb21d644c302caefe13646e45a573d496cd1868cb4c5342c1",
+        "2188be2a65954805e8be370fc484ee972492ee6d0355497500f592640e58fecf",
+    ),
+    (
+        (("lnt02", "x + yy = x + yy + xx"), ("id0703", "xy = xz")),
+        "x + yy = x + yy + xz",
+        6,
+    ): (
+        "7fbfc77385055e89d9b67d7f6764c52295ad396d8fe79acc55491c494d66aed8",
+        "2491993ee82dbdd78ad3c1633f7dd0645f7986e4bb5dbf17643dc2434eb1c93a",
+    ),
+    ((("ln02", "x = x + xy"), ("id0703", "xy = xz")), "xw = xw + xz", 6): (
+        "66591afdea8f7c022e69a51f9cb065a7d1d802ab7de766bc7528d6a1c14963c3",
+        "452f7cddece13ab7cd2ff7ac30cc334cef8ac70eefcadf51365cf31fe2c1ce75",
+    ),
+    ((("nt01", "x1x2 = y1y2"),), "yy = yy + z1z2", 6): (
+        "0ecd8fa9aceb8caf052a3219f4a59e798d2bc7ddb2748f8eb3218bff21cd9fd0",
+        "bcc2025f7b8d0cf9addc7f9ae94def5f20b07b754731783b49917a69a9025e72",
+    ),
+    (("xx = xx + yy", "xy = xz"), "x1x2 = y1y2", 8): (
+        "a90562fa713517986b476590d6882ea5991a5d54c1e0c5d0e3d5bfb94771003b",
+        "96d870f6567ee78e71c5a402b974112e6ed26c00734f8114ae0fe8ba5daacc7d",
+    ),
+}
+
+
+@pytest.mark.parametrize(("basis", "target", "depth"), list(CHAIN_DIGESTS))
+def test_chain_proofs_are_pinned(basis, target, depth):
+    proof = derive_bounded(list(basis), target, depth=depth)
+    json_digest, text_digest = CHAIN_DIGESTS[(basis, target, depth)]
+    payload = json.dumps(proof_to_json_dict(proof), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == json_digest
+    assert hashlib.sha256(format_proof(proof).encode()).hexdigest() == text_digest
+    assert replay_proof(proof) == (True, None)
+
+
 def test_manual_transcription_of_absorption_chain_replays():
     # u + h(q) = u + h(q) + h(q)s(q) at u = {x}, q = xy, via x = x + xy
     basis = (("ln02", parse_identity("x = x + xy")),)
@@ -486,8 +546,8 @@ REFUTED = [
 ]
 
 
-def _recorded_search(monkeypatch, basis, target, depth):
-    """Run derive_bounded to exhaustion and return the search it used."""
+def _record_searches(monkeypatch):
+    """The list that every later `_Search` appends itself to."""
     searches = []
 
     class Recording(derive._Search):
@@ -496,6 +556,12 @@ def _recorded_search(monkeypatch, basis, target, depth):
             searches.append(self)
 
     monkeypatch.setattr(derive, "_Search", Recording)
+    return searches
+
+
+def _recorded_search(monkeypatch, basis, target, depth):
+    """Run derive_bounded to exhaustion and return the search it used."""
+    searches = _record_searches(monkeypatch)
     assert derive_bounded(basis, target, depth=depth, node_budget=None) is None
     (search,) = searches
     return search
@@ -504,6 +570,14 @@ def _recorded_search(monkeypatch, basis, target, depth):
 @pytest.mark.parametrize(("basis", "target", "depth", "nodes"), REFUTED)
 def test_refuted_search_node_counts_are_pinned(monkeypatch, basis, target, depth, nodes):
     assert _recorded_search(monkeypatch, basis, target, depth).nodes == nodes
+
+
+@pytest.mark.parametrize(("basis", "target", "depth", "nodes"), REFUTED)
+def test_node_budget_counts_expanded_states_exactly(basis, target, depth, nodes):
+    # the per-word memo must not change how many states count as expanded
+    assert derive_bounded(basis, target, depth=depth, node_budget=nodes) is None
+    with pytest.raises(ResourceBudgetError):
+        derive_bounded(basis, target, depth=depth, node_budget=nodes - 1)
 
 
 @pytest.mark.parametrize(("basis", "target", "depth", "nodes"), REFUTED)
@@ -519,6 +593,45 @@ def test_successors_match_the_reference_generator(
         ) == reference_successors(
             state, search.rules, search.candidates, search.size_cap
         )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_memoised_successors_match_memo_free_calls(monkeypatch, seed):
+    # the per-(rule, word) memo is shared by every state of one search, so
+    # nothing that depends on the state may leak into an entry: each
+    # cached list, down to the states expanded at full depth, must equal
+    # a memo-free call and, on small states, the reference generator.
+    # y = yy rewrites factor spans, x + yy = xx + yy has two-word sides,
+    # and the random identities bring variables absent from one side.
+    import random
+
+    from gen_util import random_identity
+
+    rng = random.Random(seed)
+    searches = _record_searches(monkeypatch)
+    modes, fresh, several = set(), 0, 0
+    for _ in range(4):
+        basis = [random_identity(rng), "y = yy", "x + yy = xx + yy"]
+        try:
+            derive_bounded(
+                basis, random_identity(rng), depth=3, size_factor=2, node_budget=100
+            )
+        except ResourceBudgetError:
+            pass  # the states expanded before the budget ran out still count
+    assert searches
+    for search in searches:
+        for state, cached in search._succ_cache.items():
+            args = (state, search.rules, search.candidates, search.size_cap)
+            assert cached == _successors(*args)
+            if len(state.words) <= 3:
+                assert [
+                    (new, _step(state, new, edge)) for new, edge in cached
+                ] == reference_successors(*args)
+            for _, (rule, sigma, mode, *_rest) in cached:
+                modes.add(mode)
+                fresh += not set(rule.dst.variables()) <= set(rule.src.variables())
+                several += len(rule.src.words) > 1
+    assert modes == {"summands", "factor"} and fresh and several
 
 
 def test_factor_rewrite_inside_a_word():
