@@ -195,17 +195,21 @@ class _Rule:
     direction: str
     src: TermNF
     dst: TermNF
+    fresh: tuple[str, ...]  # the variables of dst missing from src
 
 
 def _directed_rules(basis: Sequence[tuple[str, Identity]]) -> list[_Rule]:
     rules = []
     for label, ident in basis:
-        rules.append(_Rule(label, "lr", ident.lhs, ident.rhs))
-        rules.append(_Rule(label, "rl", ident.rhs, ident.lhs))
+        lhs, rhs = ident.lhs, ident.rhs
+        for direction, src, dst in (("lr", lhs, rhs), ("rl", rhs, lhs)):
+            bound = set(src.variables())
+            fresh = tuple(v for v in dst.variables() if v not in bound)
+            rules.append(_Rule(label, direction, src, dst, fresh))
     return rules
 
 
-def _fresh_assignments(fresh: list[str], sigma: dict[str, Word], candidates):
+def _fresh_assignments(fresh: Sequence[str], sigma: dict[str, Word], candidates):
     if not fresh:
         yield sigma
         return
@@ -227,9 +231,7 @@ def _word_pieces(rule: _Rule, w: Word, candidates):
     matched set M is {w} for every piece, so none of this depends on the
     rest of the state.
     """
-    pattern = rule.src.words[0]
-    bound = set(rule.src.variables())
-    fresh = [v for v in rule.dst.variables() if v not in bound]
+    pattern, fresh = rule.src.words[0], rule.fresh
     whole, factor = [], []
     for sigma in _match_word(pattern, w, {}):
         for full in _fresh_assignments(fresh, sigma, candidates):
@@ -292,10 +294,8 @@ def _successors(state: TermNF, rules, candidates, size_cap, memo=None):
                         emit(rule, rest, *piece)
             continue
         # a match binds exactly the variables of rule.src
-        bound = set(rule.src.variables())
-        fresh = [v for v in rule.dst.variables() if v not in bound]
         for sigma in _match_summands(rule.src.words, state):
-            for full in _fresh_assignments(fresh, sigma, candidates):
+            for full in _fresh_assignments(rule.fresh, sigma, candidates):
                 rest = here - _image(rule.src.words, full)
                 replacement = _image(rule.dst.words, full)
                 emit(rule, rest, full, "summands", None, None, replacement)

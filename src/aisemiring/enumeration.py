@@ -460,15 +460,15 @@ def enumerate_constant_mul(n: int) -> EnumerationReport:
     when c is least in its orbit.
     """
     started = time.perf_counter()
-    algebras = _constant_items(enumerate_row_constant(n))
-    return EnumerationReport(
-        order=n,
+    report = enumerate_row_constant(n)
+    items = _constant_items(report)
+    return replace(
+        report,
         class_name="both",
-        count=len(algebras),
-        items=algebras,
+        count=len(items),
+        items=items,
         elapsed=time.perf_counter() - started,
-        nodes=len(algebras),
-        complete=True,
+        nodes=len(items),
     )
 
 

@@ -128,11 +128,9 @@ def _parse_block(block: list[list[str]], validate: bool) -> FiniteAlgebra:
     return algebra
 
 
-def dumps(a: FiniteAlgebra, labels: list[str] | None = None) -> str:
-    if labels is None:
-        labels = [str(i) for i in range(a.order)]
-    if len(set(labels)) != a.order:
-        raise ValueError(f"need {a.order} distinct labels")
+def dumps(a: FiniteAlgebra) -> str:
+    """One block for `a`, its elements labelled 0..n-1 in carrier order."""
+    labels = [str(i) for i in range(a.order)]
     lines = []
     if a.name:
         lines.append(f"name {a.name}")

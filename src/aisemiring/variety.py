@@ -30,16 +30,17 @@ takes the same value in it as its class's least subset does (see
 classify_generated); the same test on their generators orders the ten
 specs. `holds_in` decides an identity in V(spec) for a spec inside R the
 same way: both sides reduce to subsets, and the identity holds exactly
-when they share a class. `compare`, and through it `build_lattice`, use
-the same test when the candidate and the generators all lie in R, or all
-in its dual (yx = zx, through `dual`); other inputs go through the
-closure. `member` and `free_algebra` need the free algebra itself, with
-its tables and witnesses. For a spec inside R or its dual whose closed
-form fits the cell budget, _universe builds it without the closure: it
-runs the closure's sweep over the closed form's classes, which gives
-the same elements in the same order, hence the same witnesses and
-separating identities (see _Universe). Other specs, and closed forms
-over the budget, take the closure.
+when they share a class. One switch, _closed_route, picks the route for
+a spec at a rank: the closed form when every generator lies in R, or in
+its dual (yx = zx, through `dual`), and the closed form fits the cell
+budget; the closure otherwise. `compare`, `build_lattice` and the
+standard order read one inclusion matrix (_leq) whose entries
+_in_variety decides on that route: the same test as classification,
+or `member`. `member` and `free_algebra` need the free algebra itself,
+with its tables and witnesses; on the closed-form route _universe runs
+the closure's sweep over the closed form's classes, which gives the
+same elements in the same order, hence the same witnesses and
+separating identities (see _Universe).
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ class _Vectors:
     order, assignments in lexicographic order.
 
     Entries carry their generator's offset, so one pair table serves
-    every block.
+    every block: x + y and xy sit at byte x << 4 | y of two translation
+    tables for at most 16 letters, else at key (x, y) of two dicts.
     """
 
     def __init__(self, generators, k):
@@ -99,11 +101,17 @@ class _Vectors:
             offset += g.order
         self.alphabet = offset
         self.width = width
-        self._packed = self.alphabet <= 16
-        if self._packed:
-            self._add_pair, self._mul_pair = self._pair_tables()
-        else:
-            self._add_map, self._mul_map = self._pair_dicts()
+        self._packed = packed = offset <= 16
+        add, mul = (bytearray(256), bytearray(256)) if packed else ({}, {})
+        for g, offset, _count in blocks:
+            for a, b in itertools.product(range(g.order), repeat=2):
+                x, y = offset + a, offset + b
+                code = x << 4 | y if packed else (x, y)
+                add[code] = offset + g.add[a][b]
+                mul[code] = offset + g.mul[a][b]
+        if packed:
+            add, mul = bytes(add), bytes(mul)
+        self._add_pair, self._mul_pair = add, mul
 
     def _seed_vectors(self):
         seeds = []
@@ -128,27 +136,6 @@ class _Vectors:
             pos += count
         return tuple(out)
 
-    def _pair_tables(self):
-        add = bytearray(256)
-        mul = bytearray(256)
-        for g, offset, _count in self.blocks:
-            for a in range(g.order):
-                for b in range(g.order):
-                    code = (offset + a) << 4 | (offset + b)
-                    add[code] = offset + g.add[a][b]
-                    mul[code] = offset + g.mul[a][b]
-        return bytes(add), bytes(mul)
-
-    def _pair_dicts(self):
-        add: dict[tuple[int, int], int] = {}
-        mul: dict[tuple[int, int], int] = {}
-        for g, offset, _count in self.blocks:
-            for a in range(g.order):
-                for b in range(g.order):
-                    add[offset + a, offset + b] = offset + g.add[a][b]
-                    mul[offset + a, offset + b] = offset + g.mul[a][b]
-        return add, mul
-
     def _code(self, u, v) -> bytes:
         """Packed u and v with the pair (u_j, v_j) in byte j, the index
         the pair tables read."""
@@ -159,13 +146,13 @@ class _Vectors:
         """u + v entry by entry."""
         if self._packed:
             return self._code(u, v).translate(self._add_pair)
-        return tuple(self._add_map[p] for p in zip(u, v))
+        return tuple(self._add_pair[p] for p in zip(u, v))
 
     def mul(self, u, v):
         """uv entry by entry."""
         if self._packed:
             return self._code(u, v).translate(self._mul_pair)
-        return tuple(self._mul_map[p] for p in zip(u, v))
+        return tuple(self._mul_pair[p] for p in zip(u, v))
 
 
 class _Universe(_Vectors):
@@ -201,18 +188,17 @@ class _Universe(_Vectors):
         u + v and uv share one pair code and differ only in the
         translation table."""
         seeds = self._seed_vectors()
+        width, add_pair, mul_pair = self.width, self._add_pair, self._mul_pair
         if not self._packed:
-            add_map, mul_map = self._add_map, self._mul_map
 
             def step(u, v):
                 return (
-                    tuple(add_map[p] for p in zip(u, v)),
-                    tuple(mul_map[p] for p in zip(u, v)),
-                    tuple(mul_map[b, a] for a, b in zip(u, v)),
+                    tuple(add_pair[p] for p in zip(u, v)),
+                    tuple(mul_pair[p] for p in zip(u, v)),
+                    tuple(mul_pair[b, a] for a, b in zip(u, v)),
                 )
 
             return seeds, lambda u: u, step
-        width, add_pair, mul_pair = self.width, self._add_pair, self._mul_pair
 
         def step(iu, iv):
             pair = (iu << 4 | iv).to_bytes(width, "big")
@@ -496,13 +482,14 @@ def compare(
 ) -> str:
     """Mutual inclusion of two finitely generated varieties.
 
-    V2 contains V1 iff every generator of V1 is a member of V2. Each
-    membership is decided by _in_variety: through the closed form of
-    F_R(k) when both sides lie inside R or both inside its dual, through
-    the closure otherwise. Both routes honour `cell_limit`.
+    V2 contains V1 iff every generator of V1 is a member of V2; the two
+    inclusions are read off _leq. Each membership is decided by
+    _in_variety: through the closed form of F_R(k) when the containing
+    spec lies inside R or its dual and its closed form fits `cell_limit`,
+    through the closure otherwise. Both routes honour `cell_limit`.
     """
-    left_in_right = all(_in_variety(g, v2, cell_limit) for g in v1.generators)
-    right_in_left = all(_in_variety(g, v1, cell_limit) for g in v2.generators)
+    leq = _leq((v1, v2), cell_limit)
+    left_in_right, right_in_left = leq[0][1], leq[1][0]
     if left_in_right and right_in_left:
         return EQUAL
     if left_in_right:
@@ -548,22 +535,18 @@ def build_lattice(
 
     Joins are computed semantically (union of generator lists) and must
     land on a listed spec; a join or meet escaping the list raises
-    LatticeIncompleteError with the offending pair. Inclusions come from
-    `compare`, so a family inside R or inside its dual builds no
-    free-algebra closure.
+    LatticeIncompleteError with the offending pair, and so do two specs
+    generating the same variety. Inclusions come from _leq, so a family
+    inside R or inside its dual builds no free-algebra closure.
     """
     m = len(specs)
-    leq = [[i == j for j in range(m)] for i in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            verdict = compare(specs[i], specs[j], cell_limit)
-            if verdict == EQUAL:
-                raise LatticeIncompleteError(
-                    f"specs {specs[i].label!r} and {specs[j].label!r} "
-                    "generate the same variety"
-                )
-            leq[i][j] = verdict == LEFT_IN_RIGHT
-            leq[j][i] = verdict == RIGHT_IN_LEFT
+    leq = _leq(specs, cell_limit)
+    for i, j in itertools.combinations(range(m), 2):
+        if leq[i][j] and leq[j][i]:
+            raise LatticeIncompleteError(
+                f"specs {specs[i].label!r} and {specs[j].label!r} "
+                "generate the same variety"
+            )
 
     hasse = []
     for i in range(m):
@@ -620,7 +603,7 @@ def build_lattice(
     )
     return VarietyLattice(
         specs=tuple(specs),
-        leq=tuple(map(tuple, leq)),
+        leq=leq,
         hasse_edges=tuple(sorted(hasse)),
         join_table=tuple(tuple(row) for row in join_table),
         meet_table=tuple(tuple(row) for row in meet_table),
@@ -751,13 +734,13 @@ def _letter_joins(vectors: _Vectors) -> list:
 
 
 def _closed_route(spec: VarietySpec, k: int, cell_limit: int):
-    """(rep, flipped) for a _Universe built from the closed form: rep of
-    the spec when every generator lies in R, rep of the dualised spec
-    with flipped set when every one lies in its dual. None, so that the
-    closure runs, for any other spec or when the closed form's
-    (4^k - 1) x width cells exceed `cell_limit`; the closure never holds
-    more cells than the closed form, so no budget verdict depends on the
-    route."""
+    """The route of _universe and _in_variety. (rep, flipped) for the
+    closed form: rep of the spec when every generator lies in R, rep of
+    the dualised spec with flipped set when every one lies in its dual.
+    None, so that the closure runs, for any other spec or when the
+    closed form's (4^k - 1) x width cells exceed `cell_limit`; the
+    closure never holds more cells than the closed form, so no budget
+    verdict depends on the route."""
     width = sum(g.order**k for g in spec.generators)
     if (4**k - 1) * width > cell_limit:
         return None
@@ -811,11 +794,11 @@ def _check_closed_form(uni: _Universe, rep: tuple[int, ...], label: str) -> None
         )
 
 
-def _check_cell_budget(specs, k: int, limit: int = DEFAULT_CELL_LIMIT) -> None:
+def _check_cell_budget(specs, k: int) -> None:
     """Raise ResourceBudgetError when the widest spec's closed form at
-    rank k, (4^k - 1) x width vector cells, exceeds `limit`."""
+    rank k, (4^k - 1) x width vector cells, exceeds DEFAULT_CELL_LIMIT."""
     width = max(sum(g.order**k for g in s.generators) for s in specs)
-    if (4**k - 1) * width > limit:
+    if (4**k - 1) * width > DEFAULT_CELL_LIMIT:
         raise ResourceBudgetError(
             f"closed-form vectors of {4**k - 1} joins x {width} entries "
             "exceed the cell budget"
@@ -869,39 +852,43 @@ def _in_variety(
 ) -> bool:
     """Whether `a` lies in V(spec), without member's certificate.
 
-    When `a` and every generator lie in R, the closed form of rank |a|
-    decides it: `a` is generated by its |a| elements (see
-    classify_generated). When they all lie in the dual of R (yx = zx),
-    the same test runs on dual(a) and the dualised generators, since
-    `a` is in V(G) exactly when dual(a) is in V(dual G). Anything else
-    goes through `member`. `cell_limit` bounds whichever route runs:
-    the closed form's (4^|a| - 1) x width cells or the free algebra's
-    size x width cells.
+    The route is _universe's (see _closed_route). With the closed form of
+    rank |a| of a spec inside R, `a` must lie in R, since V(spec) does,
+    and then the closed form decides it: `a` is generated by its |a|
+    elements (see classify_generated). With a spec inside the dual of R
+    (yx = zx), the same test runs on dual(a) against the dualised spec's
+    closed form, since `a` is in V(G) exactly when dual(a) is in
+    V(dual G). Any other spec, or a closed form whose (4^|a| - 1) x width
+    cells exceed `cell_limit`, goes through `member` and the closure,
+    whose size x width cells `cell_limit` bounds in turn.
     """
     a.validate()
-    k = a.order
-    if not all(map(_in_r, (a, *spec.generators))):
-        candidate, generators = dual(a), tuple(map(dual, spec.generators))
-        if not all(map(_in_r, (candidate, *generators))):
-            return member(a, spec, cell_limit).member
-        a, spec = candidate, VarietySpec(spec.label, generators)
-    _check_cell_budget((spec,), k, cell_limit)
-    return _closed_form_member(_join_values(a), _closed_form(spec, k))
+    route = _closed_route(spec, a.order, cell_limit)
+    if route is None:
+        return member(a, spec, cell_limit).member
+    rep, flipped = route
+    b = dual(a) if flipped else a
+    return _in_r(b) and _closed_form_member(_join_values(b), rep)
+
+
+def _leq(specs, cell_limit: int = DEFAULT_CELL_LIMIT) -> tuple[tuple[bool, ...], ...]:
+    """leq[i][j] iff each generator of specs[i] lies in V(specs[j]), as
+    _in_variety decides it; the diagonal holds without a test."""
+    return tuple(
+        tuple(
+            i == j or all(_in_variety(g, t, cell_limit) for g in s.generators)
+            for j, t in enumerate(specs)
+        )
+        for i, s in enumerate(specs)
+    )
 
 
 @lru_cache(maxsize=1)
 def _standard():
-    """The ten standard specs, their inclusion order and pattern index.
-
-    leq[i][j] iff each generator of specs[i] lies in V(specs[j]); all of
-    them are in R, so _in_variety decides it without a closure.
-    """
+    """The ten standard specs, their inclusion order (all of them are in
+    R, so _leq builds no closure) and pattern index."""
     specs = tuple(standard_subvariety_specs())
-    leq = tuple(
-        tuple(all(_in_variety(g, t) for g in s.generators) for t in specs)
-        for s in specs
-    )
-    return specs, leq, _pattern_index(specs)
+    return specs, _leq(specs), _pattern_index(specs)
 
 
 class ClassificationError(ValueError):
@@ -938,9 +925,8 @@ def classify_generated(a: FiniteAlgebra) -> str:
     under x_i -> a_i for every S: sound and complete, but only for
     candidates and specs inside R. The order that picks the least such V
     comes from the same test (see _standard), so even a cold call builds
-    no closure. The widest spec's
-    (4^k - 1) x width vector cells are checked against
-    DEFAULT_CELL_LIMIT before any vector is built.
+    no closure. The widest spec's (4^k - 1) x width vector cells are
+    checked against DEFAULT_CELL_LIMIT before any vector is built.
     """
     a.validate()
     if not _in_r(a):

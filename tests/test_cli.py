@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, exit statuses, formats."""
 
+import ast
+import hashlib
 import inspect
 import json
 import os
@@ -174,6 +176,50 @@ def test_lattice_text_and_dot(tmp_path, capsys):
     code, out, _ = run(capsys, "lattice", "--format", "dot")
     assert code == 0
     assert out.startswith("digraph")
+
+
+# sha256 of stdout of the lattice and figure1 reports, recorded before
+# both commands shared one renderer
+LATTICE_REPORTS = {
+    ("lattice", "text"): "fc8c2d3b35ae259c1472ca8315f94eff69892a203d6fe53dd653edfaaea0f935",
+    ("lattice", "json"): "e902be8af644a15065581f92145f1486bc1cb4c72cc9257cada68d5bbf5bf483",
+    ("lattice", "dot"): "915d6ff0c6a100addb55e1e4df063a90c46d68c9bfc925956841ff6359332f09",
+    ("figure1", "text"): "59194770af45f877b40d24ec513889ee6163e32142316a975bb244d0f280722b",
+    ("figure1", "json"): "d35fea86bc4eeed6880039fd0e139ee4e54231a29683420311531020c57a3ebb",
+    ("figure1", "dot"): "7b1085bfbd492214806c51e96e1eefa7cc830a61adf6bda9e52574a3899f9d2f",
+    ("figure1 --dual", "text"): "0e9a90492f153dc849c1b36e77d11599608aa14afea504a41dea4cc06801070c",
+    ("figure1 --dual", "json"): "3ec352c835362385040ef9168597baff744aed1c631ab1c13d167bc8acb03e6a",
+    ("figure1 --dual", "dot"): "0096c97fc2dc43bea4f10047d88bab1bde4cd852e6eee4b7fa3cb95243431bd2",
+}
+
+
+@pytest.mark.parametrize(
+    "command, fmt", list(LATTICE_REPORTS), ids=[" ".join(k) for k in LATTICE_REPORTS]
+)
+def test_lattice_reports_are_pinned(capsys, command, fmt):
+    code, out, _ = run(capsys, *command.split(), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_REPORTS[command, fmt]
+
+
+@pytest.mark.parametrize("command", ["lattice", "figure1"])
+def test_dot_out_with_dot_format_writes_the_printed_dot(tmp_path, capsys, command):
+    path = tmp_path / "out.dot"
+    code, out, _ = run(capsys, command, "--format", "dot", "--dot-out", str(path))
+    assert code == 0
+    assert out.startswith("digraph")
+    assert path.read_text() == out
+
+
+def test_cli_imports_no_private_variety_name():
+    names = [
+        alias.name
+        for node in ast.walk(ast.parse(inspect.getsource(cli)))
+        if isinstance(node, ast.ImportFrom) and node.module == "variety"
+        for alias in node.names
+    ]
+    assert "member" in names
+    assert not [name for name in names if name.startswith("_")]
 
 
 def test_classify(capsys):

@@ -321,7 +321,10 @@ def test_lattice_two_chain():
 
 
 def test_lattice_rejects_duplicate_varieties():
-    with pytest.raises(LatticeIncompleteError):
+    with pytest.raises(
+        LatticeIncompleteError,
+        match=r"specs 'R' and 'V\(S58,N2\)' generate the same variety",
+    ):
         build_lattice([R_SPEC, spec("V(S58,N2)", "S58", "N2")])
 
 
@@ -468,6 +471,25 @@ def test_compare_outside_r_and_its_dual_reaches_member(monkeypatch):
     calls.clear()
     assert compare(spec("V(L2)", "L2"), spec("V(L2,N2)", "L2", "N2")) == LEFT_IN_RIGHT
     assert not calls
+
+
+def test_compare_across_r_and_its_dual_builds_no_universe(monkeypatch):
+    # R2 lies outside R and L2 outside its dual, so neither is a member of
+    # the other's variety, and the closed-form route says so at once
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare built a universe")
+
+    monkeypatch.setattr(variety, "_universe", refuse)
+    assert compare(spec("V(R2)", "R2"), spec("V(L2)", "L2")) == INCOMPARABLE
+
+
+def test_compare_over_the_closed_form_budget_falls_back_to_the_closure():
+    # L2^3 in V(L2) at rank 8: the closed form's 65,535 x 256 cells exceed
+    # the default budget, the closure's 255 x 256 do not
+    l2 = spec("V(L2)", "L2")
+    cube = direct_product(direct_product(g("L2"), g("L2")), g("L2"))
+    assert variety._closed_route(l2, cube.order, DEFAULT_CELL_LIMIT) is None
+    assert compare(VarietySpec("V(L2^3)", (cube,)), l2) == EQUAL
 
 
 def test_compare_honours_the_cell_budget():
