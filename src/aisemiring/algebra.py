@@ -23,8 +23,13 @@ class AxiomError(ValueError):
 
     def __init__(self, report: "AxiomReport", name: str | None):
         self.report = report
+        self.name = name
         label = name or "algebra"
         super().__init__(f"{label} fails: {', '.join(report.failed_laws())}")
+
+    def __reduce__(self):
+        # rebuilt from (report, name), so it crosses a process boundary
+        return type(self), (self.report, self.name)
 
 
 class CongruenceError(ValueError):
@@ -155,12 +160,16 @@ class FiniteAlgebra:
 
 
 def verify_axioms(a: FiniteAlgebra) -> AxiomReport:
-    """Exhaustively check the six defining laws.
+    """Exhaustively check the six defining laws (see `verify_tables`)."""
+    return verify_tables(a.order, a.add, a.mul)
+
+
+def verify_tables(n: int, add: Table, mul: Table) -> AxiomReport:
+    """Exhaustively check the six defining laws on two n x n tables.
 
     Witnesses record the first failing tuple in row-major scan order,
     keyed by law name.
     """
-    n, add, mul = a.order, a.add, a.mul
     flags = dict.fromkeys(LAWS, True)
     witnesses: dict[str, tuple[int, ...]] = {}
 
@@ -397,13 +406,31 @@ def canonical_tables(tables: Sequence[Table], n: int) -> tuple[tuple[int, ...], 
     as some fully-determined prefix cell already exceeds the best known
     key. Returns (key, permutation old->new); ties on the key pick the
     lexicographically least permutation.
-    """
-    if n == 1:
-        return _flatten(tables, 1, (0,)), (0,)
 
+    When tables[0] is a join-semilattice (x <= y iff x + y = y), only
+    top-down linear extensions are tried: an element is labelled after
+    every element strictly above it. This loses nothing, because every
+    labelling whose tables[0] block is least is one. Suppose one is not.
+    Let r be the first label with an element above it labelled higher,
+    e its element, U the elements labelled below r (an up-set in which
+    labels fall going up) and c a maximal element outside U above e,
+    labelled s. Swapping the labels of e and c makes the block smaller.
+    Rows in U change only at columns r and s, and the first row u with
+    u + e != u + c falls at column r, since u + c > u + e. If there is
+    none, row r is equal before column r and at r; at a column x up to
+    s it holds c + x, which is c (label r) or in U, against e + x, which
+    is e (then c + x = c), in U (then so is c + x >= e + x) or labelled
+    above r; and at s it falls from s to r.
+    """
     best_key = _flatten(tables, n, tuple(range(n)))
     best_perm = tuple(range(n))
     cells = [(ti, i, j) for ti in range(len(tables)) for i in range(n) for j in range(n)]
+    rng, t = range(n), tables[0]
+    semilattice = all(t[x][x] == x for x in rng) and all(
+        t[x][y] == t[y][x] and t[t[x][y]][z] == t[x][t[y][z]]
+        for x in rng for y in rng for z in rng
+    )
+    above = [{y for y in rng if semilattice and y != x and t[x][y] == y} for x in rng]
 
     def descend(chosen: list[int], used: set[int]):
         nonlocal best_key, best_perm
@@ -416,7 +443,7 @@ def canonical_tables(tables: Sequence[Table], n: int) -> tuple[tuple[int, ...], 
             return
         pos = {old: new for new, old in enumerate(chosen)}
         for nxt in range(n):
-            if nxt in used:
+            if nxt in used or not above[nxt] <= used:
                 continue
             pos[nxt] = r
             # Compare determined prefix cells against the best key; stop at

@@ -8,8 +8,9 @@ Three pipelines:
   that way and deduplicated by canonical form;
 * all ai-semirings of a given order: for each canonical reduct,
   backtracking over multiplication cells with incremental
-  associativity/distributivity checks, keeping tables minimal under the
-  reduct's automorphism group;
+  associativity/distributivity checks, forced cells and lex-leader
+  pruning, so only tables minimal under the reduct's automorphism
+  group complete; the chunk workers check each against the six laws;
 * the row-constant class: multiplication x*y = f(x) with f an
   idempotent additive endomorphism of the reduct, enumerated as (reduct,
   f) pairs up to reduct automorphism. The column-constant class (the
@@ -28,6 +29,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .algebra import (
+    LAWS,
+    AxiomError,
+    AxiomReport,
     FiniteAlgebra,
     Table,
     _inverse,
@@ -35,6 +39,7 @@ from .algebra import (
     canonical_tables,
     dual,
     relabel,
+    verify_tables,
 )
 
 MAX_SEMILATTICE_ORDER = 6
@@ -77,11 +82,7 @@ def _filter_extensions(table: Table, n: int):
                 joins.append(a)
                 continue
             cands = [y for y in members if leq[a][y]]
-            least = None
-            for y in cands:
-                if all(leq[y][z] for z in cands):
-                    least = y
-                    break
+            least = next((y for y in cands if all(leq[y][z] for z in cands)), None)
             if least is None:
                 ok = False
                 break
@@ -133,36 +134,24 @@ def _reduct_automorphisms(add: Table) -> tuple[tuple[int, ...], ...]:
 # general ai-semirings over a fixed canonical reduct
 
 
-def _aut_minimal(flat: tuple[int, ...], n: int, auts) -> bool:
-    for perm in auts:
-        inv = _inverse(perm)
-        for i in range(n):
-            ibase = inv[i] * n
-            for j in range(n):
-                v = perm[flat[ibase + inv[j]]]
-                w = flat[i * n + j]
-                if v != w:
-                    if v < w:
-                        return False
-                    break
-            else:
-                continue
-            break
-    return True
-
-
 def _mul_search(add_flat, n, auts, first_value, node_budget):
     """Backtrack over multiplication cells in row-major order.
 
     Invariant: an associativity or distributivity instance is checked
-    when the last of its cells is assigned. Every other instance is
-    either still open or was fully determined, and checked, at an
-    ancestor node, so only the instances that contain the new cell need
-    checking, and a completed table satisfies all of them. Returns
-    (list of flat mul tables, nodes visited, completed flag).
+    when the last of its cells is assigned; every other instance is
+    still open or was checked at an ancestor, so a completed table
+    satisfies all of them. A cell fixed by an instance whose other cells
+    are known (x(yb) with xy = a, (x + y)b with x + y = a, (ay)z with
+    yz = b, ay + az with y + z = b) tries only that value, still through
+    the check, as one node. Lex-leader: per automorphism p in `auts`,
+    the first cell where the table and its image under p are not yet
+    compared advances over the known cells; a smaller image there cuts
+    the subtree and a larger one settles p, so exactly the tables least
+    in their orbits complete. Returns (tables, nodes, completed).
     """
     rng = range(n)
     rows = [[-1] * n for _ in rng]
+    flat = [-1] * (n * n)  # the same cells, row-major
     adds = [add_flat[x * n : x * n + n] for x in rng]
     results: list[tuple[int, ...]] = []
     nodes = 0
@@ -176,6 +165,25 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
                 sums[c].append((y, z))
     # holding[v]: the assigned cells (x, y) with xy = v, as (row x, x, y)
     holding: list[list[tuple[list[int], int, int]]] = [[] for _ in rng]
+    # (p, the cell that p carries to each cell, first cell not compared)
+    inverses = [(p, _inverse(p)) for p in auts]
+    leaders = [(p, [q[i] * n + q[j] for i in rng for j in rng], 0) for p, q in inverses]
+
+    def forced(a: int, b: int):
+        arow = rows[a]
+        for xrow, _x, y in holding[a]:
+            if (yb := rows[y][b]) != -1 and (v := xrow[yb]) != -1:
+                return v
+        for x, y in sums[a]:
+            if (xb := rows[x][b]) != -1 and (yb := rows[y][b]) != -1:
+                return adds[xb][yb]
+        for _row, y, z in holding[b]:
+            if (ay := arow[y]) != -1 and (v := rows[ay][z]) != -1:
+                return v
+        for y, z in sums[b]:
+            if (ay := arow[y]) != -1 and (az := arow[z]) != -1:
+                return adds[ay][az]
+        return None
 
     def consistent(a: int, b: int, v: int) -> bool:
         arow = rows[a]
@@ -234,42 +242,70 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
                     return False
         return True
 
-    def dfs(pos: int) -> bool:
+    def advance(pos: int, active):
+        """`active` once cells 0..pos are known, settled automorphisms
+        dropped; None if some image is smaller."""
+        kept = []
+        for perm, image, k in active:
+            while k <= pos and flat[image[k]] != -1 and perm[flat[image[k]]] == flat[k]:
+                k += 1
+            if k > pos or flat[image[k]] == -1:
+                kept.append((perm, image, k))
+            elif perm[flat[image[k]]] < flat[k]:
+                return None
+        return kept
+
+    def dfs(pos: int, active) -> bool:
         nonlocal nodes
         if pos == n * n:
-            flat = tuple(x for row in rows for x in row)
-            if _aut_minimal(flat, n, auts):
-                results.append(flat)
+            results.append(tuple(flat))
             return True
         a, b = divmod(pos, n)
         arow = rows[a]
         cell = (arow, a, b)
-        values = (first_value,) if pos == 0 and first_value is not None else rng
+        if pos == 0 and first_value is not None:
+            values = (first_value,)
+        else:
+            v = forced(a, b)
+            values = rng if v is None else (v,)
         for v in values:
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 return False
-            arow[b] = v
+            arow[b] = flat[pos] = v
             held = holding[v]
             held.append(cell)
-            if consistent(a, b, v) and not dfs(pos + 1):
-                return False
+            if consistent(a, b, v):
+                kept = advance(pos, active) if active else active
+                if kept is not None and not dfs(pos + 1, kept):
+                    return False
             held.pop()
-            arow[b] = -1
+            arow[b] = flat[pos] = -1
         return True
 
-    completed = dfs(0)
+    completed = dfs(0, leaders)
     return results, nodes, completed
+
+
+_PASSED = AxiomReport(**dict.fromkeys(LAWS, True))
 
 
 def _chunk_worker(args):
     """One chunk's search, its tables packed into one bytes object.
 
-    Entries are below MAX_GENERAL_ORDER = 5 < 256, so each fits a byte;
-    the flat n x n tables are concatenated in result order.
+    Each table found is checked against the six laws here, in the
+    worker; a failure raises AxiomError, which the pool re-raises in the
+    parent. Entries are below MAX_GENERAL_ORDER = 5 < 256, so each fits
+    a byte; the flat n x n tables are concatenated in result order.
     """
     add_flat, n, auts, first_value, node_budget = args
     muls, nodes, completed = _mul_search(add_flat, n, auts, first_value, node_budget)
+    cuts = range(0, n * n, n)
+    add = tuple(add_flat[i : i + n] for i in cuts)
+    for mul in muls:
+        report = verify_tables(n, add, tuple(mul[i : i + n] for i in cuts))
+        if not report.ok:
+            raise AxiomError(report, None)
     return b"".join(map(bytes, muls)), nodes, completed
 
 
@@ -307,14 +343,11 @@ def enumerate_ai_semirings(
         nodes += used
         complete = complete and ok
         for start in range(0, len(packed), n * n):
-            mul = []
-            for i in range(start, start + n * n, n):
-                key = packed[i : i + n]
-                row = rows.get(key)
-                if row is None:
-                    row = rows[key] = tuple(key)
-                mul.append(row)
-            algebras.append(FiniteAlgebra(n, add, tuple(mul)).validate())
+            keys = (packed[i : i + n] for i in range(start, start + n * n, n))
+            mul = tuple(rows.setdefault(k, tuple(k)) for k in keys)
+            algebra = FiniteAlgebra(n, add, mul)
+            algebra._report = _PASSED  # checked in the worker
+            algebras.append(algebra)
     return EnumerationReport(
         order=n,
         class_name="all",

@@ -1,12 +1,16 @@
 """Isomorph-free generation: counts, oracles, cross-pipeline checks."""
 
 import itertools
+import random
 
 import pytest
 
-from aisemiring import catalog
+from aisemiring import algebra, catalog, enumeration
 from aisemiring.algebra import (
+    AxiomError,
     FiniteAlgebra,
+    _flatten,
+    _inverse,
     automorphisms,
     canonical_form,
     canonical_tables,
@@ -14,7 +18,7 @@ from aisemiring.algebra import (
     relabel,
 )
 from aisemiring.enumeration import (
-    _aut_minimal,
+    _filter_extensions,
     _idempotent_additive_endos,
     _mul_search,
     canonical_semilattices,
@@ -67,6 +71,57 @@ def brute_semilattices(n):
 def test_semilattices_match_brute_force(n):
     pipeline = {canonical_tables((t,), n)[0] for t in canonical_semilattices(n)}
     assert pipeline == brute_semilattices(n)
+
+
+def least_labelings(tables, n):
+    """(key, permutation) pairs over all n! relabelings, least first,
+    with every permutation that reaches the least key."""
+    ranked = sorted((_flatten(tables, n, p), p) for p in itertools.permutations(range(n)))
+    return ranked[0], [p for key, p in ranked if key == ranked[0][0]]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_key_minimal_labelings_are_top_down_linear_extensions(n):
+    # canonical_tables tries only labelings that place an element after
+    # every element strictly above it; its docstring proves that every
+    # key-minimal labelling is one, and this checks it by brute force
+    for add in canonical_semilattices(n):
+        best, perms = least_labelings((add,), n)
+        assert canonical_tables((add,), n) == best
+        for p in perms:
+            for x, y in itertools.permutations(range(n), 2):
+                if add[x][y] == y:  # y strictly above x
+                    assert p[y] < p[x], (add, p)
+
+
+def test_canonical_tables_outside_semilattices_tries_every_labelling():
+    # commutative and idempotent, not associative: x + y is the winner of
+    # rock-paper-scissors, so "strictly above" is a cycle and no labelling
+    # is a top-down linear extension
+    rps = ((0, 1, 0), (1, 1, 2), (0, 2, 2))
+    assert canonical_tables((rps,), 3) == least_labelings((rps,), 3)[0]
+    assert canonical_tables((rps,), 3)[0] != _flatten((rps,), 3, (0, 1, 2))
+
+
+def test_canonical_tables_matches_brute_force_on_relabelled_order_4_stream():
+    rng = random.Random(4)
+    for a in enumerate_ai_semirings(4).items:
+        perm = list(range(4))
+        rng.shuffle(perm)
+        moved = relabel(a, perm)
+        tables = (moved.add, moved.mul)
+        assert canonical_tables(tables, 4) == least_labelings(tables, 4)[0]
+
+
+def test_order_7_semilattices_count_the_8_element_lattices():
+    # adding a bottom is a bijection from semilattices of order n to
+    # lattices of order n + 1; OEIS A006966 gives 222 lattices on 8 elements
+    keys = {
+        canonical_tables((candidate,), 7)[0]
+        for smaller in canonical_semilattices(6)
+        for candidate in _filter_extensions(smaller, 6)
+    }
+    assert len(keys) == 222
 
 
 def test_semilattice_range_check():
@@ -322,11 +377,23 @@ def test_workers_below_one_rejected():
         enumerate_ai_semirings(3, workers=0)
 
 
+def reference_aut_minimal(flat, n, auts):
+    """Whether the flat table is least among its images under `auts`."""
+    for perm in auts:
+        inv = _inverse(perm)
+        image = tuple(perm[flat[inv[i] * n + inv[j]]] for i in range(n) for j in range(n))
+        if image < flat:
+            return False
+    return True
+
+
 def reference_mul_search(add_flat, n, auts, first_value, node_budget):
     """The multiplication search as it was before its checks were cut to
     the instances containing the new cell: after each assignment it
     rechecks every determined distributivity instance in the cell's row
-    and column and scans the whole table for the (xy)z and x(yz) roles."""
+    and column and scans the whole table for the (xy)z and x(yz) roles.
+    It tries every value at every cell and tests minimality under the
+    reduct's automorphisms only at the leaves."""
     N = n * n
     mul = [-1] * N
     add = add_flat
@@ -400,7 +467,7 @@ def reference_mul_search(add_flat, n, auts, first_value, node_budget):
         nonlocal nodes
         if pos == N:
             flat = tuple(mul)
-            if _aut_minimal(flat, n, auts):
+            if reference_aut_minimal(flat, n, auts):
                 results.append(flat)
             return True
         a, b = divmod(pos, n)
@@ -436,18 +503,62 @@ def search_inputs(n, reverse=False):
 @pytest.mark.parametrize("reverse", [False, True], ids=["canonical", "reversed"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_mul_search_matches_reference(n, reverse):
+    # the same tables in the same order; forced cells and lex-leader
+    # pruning only ever visit fewer nodes
     for add_flat, auts in search_inputs(n, reverse):
         for v in range(n):
-            got = _mul_search(add_flat, n, auts, v, None)
-            assert got == reference_mul_search(add_flat, n, auts, v, None), (add_flat, v)
+            tables, nodes, completed = _mul_search(add_flat, n, auts, v, None)
+            want, want_nodes, want_completed = reference_mul_search(
+                add_flat, n, auts, v, None
+            )
+            assert (tables, completed) == (want, want_completed), (add_flat, v)
+            assert nodes <= want_nodes, (add_flat, v)
 
 
 @pytest.mark.parametrize("budget", [1, 50, 500])
 def test_mul_search_matches_reference_under_node_budget(budget):
+    # a budgeted search returns a prefix of the reference's full list,
+    # and completes exactly when the whole search fits the budget
     for add_flat, auts in search_inputs(4):
         for v in range(4):
-            got = _mul_search(add_flat, 4, auts, v, budget)
-            assert got == reference_mul_search(add_flat, 4, auts, v, budget), (add_flat, v)
+            full = reference_mul_search(add_flat, 4, auts, v, None)[0]
+            tables, nodes, completed = _mul_search(add_flat, 4, auts, v, budget)
+            assert tables == full[: len(tables)], (add_flat, v)
+            full_nodes = _mul_search(add_flat, 4, auts, v, None)[1]
+            assert completed == (nodes <= budget) == (full_nodes <= budget)
+
+
+def test_mul_search_node_counts():
+    # the search tree, not a contract of the tables: pinned so that a
+    # change to the pruning shows up here
+    assert [enumerate_ai_semirings(n).nodes for n in (2, 3, 4)] == [18, 473, 13380]
+
+
+def test_axiom_check_runs_in_the_chunk_workers(monkeypatch):
+    # x*y = 1 + x on two elements is not associative: (0*0)*0 = 0, 0*(0*0) = 1
+    search = enumeration._mul_search
+
+    def with_bad_table(add_flat, n, auts, first_value, node_budget):
+        tables, nodes, completed = search(add_flat, n, auts, first_value, node_budget)
+        return tables + [(1, 1, 0, 0)], nodes, completed
+
+    monkeypatch.setattr(enumeration, "_mul_search", with_bad_table)
+    for workers in (1, 2):
+        with pytest.raises(AxiomError, match="associative_mul") as caught:
+            enumerate_ai_semirings(2, workers=workers)
+        assert caught.value.report.witnesses["associative_mul"] == (0, 0, 0)
+
+
+def test_the_parent_checks_no_law_again(monkeypatch):
+    # emitted algebras adopt the workers' passing report, so validating
+    # them in the parent would call verify_axioms
+    def recheck(a):
+        raise AssertionError("laws checked again in the parent")
+
+    monkeypatch.setattr(algebra, "verify_axioms", recheck)
+    for workers in (1, 2):
+        items = enumerate_ai_semirings(3, workers=workers).items
+        assert all(a.is_validated and a.validate() is a for a in items)
 
 
 def idempotent_maps(n):
