@@ -7,7 +7,6 @@ from .algebra import (
     Congruence,
     CongruenceError,
     FiniteAlgebra,
-    OrderRelation,
     ResourceBudgetError,
     TRIVIAL,
     TableFormatError,
@@ -17,7 +16,6 @@ from .algebra import (
     direct_product,
     dual,
     find_subalgebra_isomorphic,
-    natural_order,
     relabel,
     subalgebra_generated,
     verify_axioms,

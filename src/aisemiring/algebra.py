@@ -205,31 +205,6 @@ def verify_tables(n: int, add: Table, mul: Table) -> AxiomReport:
     return AxiomReport(witnesses=witnesses, **flags)
 
 
-@dataclass(frozen=True)
-class OrderRelation:
-    """The natural partial order: a <= b iff a + b = b."""
-
-    leq: tuple[tuple[bool, ...], ...]
-
-    def is_leq(self, a: int, b: int) -> bool:
-        return self.leq[a][b]
-
-    def top(self) -> int:
-        n = len(self.leq)
-        for b in range(n):
-            if all(self.leq[a][b] for a in range(n)):
-                return b
-        raise ValueError("no top element")  # impossible for a validated algebra
-
-
-def natural_order(a: FiniteAlgebra) -> OrderRelation:
-    a.validate()
-    n, add = a.order, a.add
-    return OrderRelation(
-        tuple(tuple(add[x][y] == y for y in range(n)) for x in range(n))
-    )
-
-
 def direct_product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     """Componentwise product on pairs, encoded as i*|b| + j."""
     a.validate()
@@ -349,10 +324,8 @@ def dual(a: FiniteAlgebra) -> FiniteAlgebra:
     takes over `a`'s passing report instead of checking the laws again.
     """
     a.validate()
-    n = a.order
-    mul = [[a.mul[y][x] for y in range(n)] for x in range(n)]
     name = f"dual({a.name})" if a.name else None
-    out = FiniteAlgebra(n, a.add, mul, name)
+    out = FiniteAlgebra(a.order, a.add, tuple(zip(*a.mul)), name)
     out._report = a._report
     return out
 

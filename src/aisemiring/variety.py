@@ -27,25 +27,28 @@ the same evaluation vector over V's generators; those vectors are built
 subset by subset, each one join from a smaller subset. A candidate in R
 generated by its k elements lies in V exactly when every subset's join
 takes the same value in it as its class's least subset does (see
-classify_generated); the same test on their generators orders the ten
-specs. `holds_in` decides an identity in V(spec) for a spec inside R the
-same way: both sides reduce to subsets, and the identity holds exactly
-when they share a class. One switch, _closed_route, picks the route for
-a spec at a rank: the closed form when every generator lies in R, or in
-its dual (yx = zx, through `dual`), and the closed form fits the cell
-budget; the closure otherwise. `compare`, `build_lattice` and the
-standard order read one inclusion matrix (_leq) whose entries
-_in_variety decides on that route: the same test as classification,
-or `member`. `member` and `free_algebra` need the free algebra itself,
-with its tables and witnesses; on the closed-form route _universe runs
-the closure's sweep over the closed form's classes, which gives the
-same elements in the same order, hence the same witnesses and
-separating identities (see _Universe).
+classify_generated). `holds_in` decides an identity in V(spec) for a
+spec inside R the same way: both sides reduce to subsets, and the
+identity holds exactly when they share a class.
+
+`member` is the one membership decision. One switch, _closed_route,
+picks its route for a spec at a rank: the closed form when every
+generator lies in R, or in its dual (yx = zx, through `dual`), and the
+closed form fits the cell budget; the closure otherwise. On the
+closed-form route `member` builds no free algebra, and its certificate
+is xy = xz (mirrored in the dual) or the first subset S with
+S = rep[S] failing. `compare`, `build_lattice` and the standard order
+read one inclusion matrix (_leq) of `member` verdicts. `free_algebra`
+needs the free algebra itself, with its tables and witnesses; on the
+closed-form route _universe runs the closure's sweep over the closed
+form's classes, which gives the same elements in the same order, hence
+the same witnesses (see _Universe).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -375,10 +378,11 @@ def free_algebra(
     (4^k - 1) x width cells fit `cell_limit`, the algebra is built from
     the closed form, and the closed form is checked at any size first:
     each subset's join must equal its representative's, and the
-    representatives' joins must be distinct (else RuntimeError). Other
-    specs take the closure; the elements, tables and witnesses are the
-    same on both routes. The axioms are checked only up to order 100
-    (an O(n^3) check), not above.
+    representatives' joins must be distinct (else RuntimeError), which
+    vouches for the tables too. Other specs take the closure; the
+    elements, tables and witnesses are the same on both routes. Only a
+    closure-built algebra has its axioms checked, an O(n^3) check, and
+    only up to order 100.
     """
     if k < 1:
         raise ValueError("rank must be positive")
@@ -386,7 +390,7 @@ def free_algebra(
     algebra = FiniteAlgebra(
         uni.size, uni.add_tab, uni.mul_tab, f"F({spec.label},{k})"
     )
-    if algebra.order <= 100:
+    if uni.checked_form is None and algebra.order <= 100:
         algebra.validate()
     return FreeAlgebraResult(
         algebra=algebra,
@@ -418,22 +422,55 @@ def member(
 ) -> MembershipResult:
     """Decide whether `a` lies in the variety generated by the spec.
 
-    Reads the rank-|a| free algebra that _universe builds: from the
-    closed form for a spec inside R or its dual that fits `cell_limit`,
-    by closure otherwise, with the same elements and sweep order either
-    way. Gives each free-algebra element the value in `a` of its first
-    derivation, starting from x_i -> a_i. `a` is a member exactly when
-    this map is a homomorphism: every generator keeps its own value and
-    every entry of the free algebra's tables takes the sum or product of
-    its factors' values. The first failure, in the sweep order, yields
-    the separating identity: the element's witness on one side, the
-    failing sum or product of witnesses on the other.
+    On the closed-form route (see _closed_route), for a spec inside R,
+    no free algebra is built. A candidate outside R fails x_i x_1 =
+    x_i x_j for the first row i of its product that is not constant, j
+    being the first column that differs from column 1. One inside R is
+    generated by its k = |a| elements, so it is a member exactly when it
+    satisfies S = rep[S] for every subset S (Birkhoff's completeness
+    theorem applied to F_R(k); see classify_generated), and the first S
+    that fails gives sum rep[S] = sum S. Inside the dual of R the same
+    test runs on dual(a) against the dualised spec's closed form; the
+    first identity is mirrored, the second reads the same mirrored.
+
+    Any other spec, or a closed form over `cell_limit`, takes the free
+    algebra of rank k that _universe builds by closure, whose size x
+    width cells `cell_limit` bounds. Each free element gets the value in
+    `a` of its first derivation, starting from x_i -> a_i. `a` is a
+    member exactly when this map is a homomorphism: every generator
+    keeps its own value and every entry of the free algebra's tables
+    takes the sum or product of its factors' values. The first failure,
+    in the sweep order, yields the separating identity: the element's
+    witness on one side, the failing sum or product of witnesses on the
+    other.
     """
     a.validate()
     k = a.order
-    separating = _separating_identity(a, _universe(spec, k, cell_limit))
+    route = _closed_route(spec, k, cell_limit)
+    if route is None:
+        separating = _separating_identity(a, _universe(spec, k, cell_limit))
+    else:
+        separating = _closed_form_identity(a, *route)
     assignment = {_variable(i): i for i in range(k)}
     return MembershipResult(separating is None, separating, assignment)
+
+
+def _closed_form_identity(
+    a: FiniteAlgebra, rep: tuple[int, ...], flipped: bool
+) -> Identity | None:
+    """member's separating identity on the closed-form route, None for
+    a member (see member)."""
+    b = dual(a) if flipped else a
+    if not _in_r(b):
+        i, row = next((i, row) for i, row in enumerate(b.mul) if row.count(row[0]) < b.order)
+        j = next(j for j, x in enumerate(row) if x != row[0])
+        xi = _variable(i)
+        ident = Identity(TermNF([(xi, _variable(0))]), TermNF([(xi, _variable(j))]))
+        return ident.mirror() if flipped else ident
+    s = _first_failing_subset(_join_values(b), rep)
+    if s is None:
+        return None
+    return Identity(_subset_term(rep[s], a.order), _subset_term(s, a.order))
 
 
 def _separating_identity(a: FiniteAlgebra, uni: _Universe) -> Identity | None:
@@ -483,10 +520,10 @@ def compare(
     """Mutual inclusion of two finitely generated varieties.
 
     V2 contains V1 iff every generator of V1 is a member of V2; the two
-    inclusions are read off _leq. Each membership is decided by
-    _in_variety: through the closed form of F_R(k) when the containing
-    spec lies inside R or its dual and its closed form fits `cell_limit`,
-    through the closure otherwise. Both routes honour `cell_limit`.
+    inclusions are read off _leq, whose entries `member` decides:
+    through the closed form of F_R(k) when the containing spec lies
+    inside R or its dual and its closed form fits `cell_limit`, through
+    the closure otherwise. Both routes honour `cell_limit`.
     """
     leq = _leq((v1, v2), cell_limit)
     left_in_right, right_in_left = leq[0][1], leq[1][0]
@@ -668,21 +705,18 @@ def _pattern_index(specs) -> dict[tuple[bool, ...], int]:
 
 def _subset_joins(letters, add) -> list:
     """joins[S] for every subset S of the letters, joins[0] = None: one
-    join each, joins[S] = add(joins[S minus its lowest letter], that
+    join each, joins[S] = add(joins[S minus its highest letter], that
     letter), so no pairwise sweep is needed."""
     joins = [None]
-    for subset in range(1, 1 << len(letters)):
-        low = subset & -subset
-        letter = letters[low.bit_length() - 1]
-        rest = subset ^ low
-        joins.append(add(joins[rest], letter) if rest else letter)
+    for letter in letters:
+        joins += [letter] + [add(rest, letter) for rest in joins[1:]]
     return joins
 
 
 def _in_r(a: FiniteAlgebra) -> bool:
     """Whether `a` satisfies xy = xz, i.e. every row of its product is
     constant."""
-    return all(len(set(row)) == 1 for row in a.mul)
+    return all(row.count(row[0]) == a.order for row in a.mul)
 
 
 # rep tuples by (spec.key(), rank), least recently used first; their
@@ -734,7 +768,7 @@ def _letter_joins(vectors: _Vectors) -> list:
 
 
 def _closed_route(spec: VarietySpec, k: int, cell_limit: int):
-    """The route of _universe and _in_variety. (rep, flipped) for the
+    """The route of _universe and member. (rep, flipped) for the
     closed form: rep of the spec when every generator lies in R, rep of
     the dualised spec with flipped set when every one lies in its dual.
     None, so that the closure runs, for any other spec or when the
@@ -840,43 +874,29 @@ def _join_values(a: FiniteAlgebra) -> list:
     return _subset_joins(letters, lambda x, y: add[x][y])
 
 
-def _closed_form_member(values: list, rep: tuple[int, ...]) -> bool:
-    """Whether the values from _join_values agree on each subset and its
-    representative, i.e. whether S = rep[S] holds in the candidate for
-    every S."""
-    return [values[r] for r in rep] == values
+def _first_failing_subset(values: list, rep: tuple[int, ...]) -> int | None:
+    """The least subset S whose value from _join_values differs from its
+    representative's, i.e. where S = rep[S] fails in the candidate; None
+    when it holds for every S."""
+    mapped = [values[r] for r in rep]
+    if mapped == values:
+        return None
+    return next(itertools.compress(itertools.count(), map(operator.ne, mapped, values)))
 
 
-def _in_variety(
-    a: FiniteAlgebra, spec: VarietySpec, cell_limit: int = DEFAULT_CELL_LIMIT
-) -> bool:
-    """Whether `a` lies in V(spec), without member's certificate.
-
-    The route is _universe's (see _closed_route). With the closed form of
-    rank |a| of a spec inside R, `a` must lie in R, since V(spec) does,
-    and then the closed form decides it: `a` is generated by its |a|
-    elements (see classify_generated). With a spec inside the dual of R
-    (yx = zx), the same test runs on dual(a) against the dualised spec's
-    closed form, since `a` is in V(G) exactly when dual(a) is in
-    V(dual G). Any other spec, or a closed form whose (4^|a| - 1) x width
-    cells exceed `cell_limit`, goes through `member` and the closure,
-    whose size x width cells `cell_limit` bounds in turn.
-    """
-    a.validate()
-    route = _closed_route(spec, a.order, cell_limit)
-    if route is None:
-        return member(a, spec, cell_limit).member
-    rep, flipped = route
-    b = dual(a) if flipped else a
-    return _in_r(b) and _closed_form_member(_join_values(b), rep)
+def _subset_term(s: int, k: int) -> TermNF:
+    """The join of subset s's letters: x_{i+1} for bit i and
+    x_{i+1}x_{i+1} for bit k + i."""
+    return TermNF((_variable(b % k),) * (1 + b // k) for b in range(2 * k) if s >> b & 1)
 
 
 def _leq(specs, cell_limit: int = DEFAULT_CELL_LIMIT) -> tuple[tuple[bool, ...], ...]:
-    """leq[i][j] iff each generator of specs[i] lies in V(specs[j]), as
-    _in_variety decides it; the diagonal holds without a test."""
+    """leq[i][j] iff each generator of specs[i] is a member of
+    V(specs[j]); the diagonal holds without a test. Inside R or its dual
+    this builds no free algebra (see member)."""
     return tuple(
         tuple(
-            i == j or all(_in_variety(g, t, cell_limit) for g in s.generators)
+            i == j or all(member(g, t, cell_limit).member for g in s.generators)
             for j, t in enumerate(specs)
         )
         for i, s in enumerate(specs)
@@ -947,7 +967,7 @@ def classify_generated(a: FiniteAlgebra) -> str:
     containing = [
         i
         for i in range(len(specs))
-        if _closed_form_member(values, _closed_form(specs[i], k))
+        if _first_failing_subset(values, _closed_form(specs[i], k)) is None
     ]
     least = next((i for i in containing if all(leq[i][j] for j in containing)), None)
     if least != found:

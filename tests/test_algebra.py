@@ -25,7 +25,6 @@ from aisemiring.algebra import (
     direct_product,
     dual,
     find_subalgebra_isomorphic,
-    natural_order,
     relabel,
     subalgebra_generated,
     verify_axioms,
@@ -198,45 +197,6 @@ def test_left_distributivity_failure_witness():
         if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]
     ]
     assert violations[0] == (0, 0, 1)
-
-
-def test_natural_order_l2():
-    order = natural_order(catalog.get("L2"))
-    assert order.is_leq(0, 1) and not order.is_leq(1, 0)
-    assert order.top() == 1
-
-
-def test_natural_order_trivial():
-    order = natural_order(TRIVIAL)
-    assert order.leq == ((True,),)
-
-
-def test_natural_order_s4_475_top():
-    # catalog label 1 (index 0) absorbs everything additively
-    order = natural_order(catalog.get("S4_475"))
-    assert order.top() == 0
-    assert all(order.is_leq(a, 0) for a in range(4))
-
-
-def test_natural_order_requires_validity():
-    bad = FiniteAlgebra(2, ((1, 1), (1, 1)), ((0, 0), (0, 0)))
-    with pytest.raises(AxiomError):
-        natural_order(bad)
-
-
-def test_order_compatible_with_operations():
-    for name in ("L2", "S58", "S4_475", "S7"):
-        a = catalog.get(name)
-        order = natural_order(a)
-        n = a.order
-        for x in range(n):
-            for y in range(n):
-                if not order.is_leq(x, y):
-                    continue
-                for c in range(n):
-                    assert order.is_leq(a.add[x][c], a.add[y][c])
-                    assert order.is_leq(a.mul[x][c], a.mul[y][c])
-                    assert order.is_leq(a.mul[c][x], a.mul[c][y])
 
 
 def test_product_with_trivial_is_isomorphic():

@@ -31,7 +31,7 @@ from aisemiring.variety import (
     free_algebra,
     holds_in,
     _closed_form,
-    _closed_form_member,
+    _first_failing_subset,
     _join_values,
     _pattern,
     _pattern_index,
@@ -165,9 +165,9 @@ def test_member_trivial_everywhere():
         ("R2", ("S4_475",), "x1x1 = x1x2"),
         ("R2", ("S4_475",) * 5, "x1x1 = x1x2"),
         ("L2", ("trivial",), "x1 = x2"),
-        ("L2", ("N2",), "x1x1 = x2x1"),
-        ("S7", ("S4_475",), "x3x1 = x3x2"),
-        ("S58", ("L2", "N2", "T2"), "x1+x2+x1x1 = x1+x2+x2x1"),
+        ("L2", ("N2",), "x1x1 = x2x2"),
+        ("S7", ("S4_475",), "x2x1 = x2x3"),
+        ("S58", ("L2", "N2", "T2"), "x1+x2+x1x1 = x1+x2+x2x2"),
     ],
     ids=["R2-in-R", "R2-in-R5", "L2-in-T", "L2-in-N2", "S7-in-R", "S58-in-LNT"],
 )
@@ -190,10 +190,10 @@ def test_member_negative_with_checkable_certificate(candidate, gens, expected):
 
 
 def reference_member(a, spec):
-    """The pair walk `member` ran before it read the closure's first
-    derivations: a FIFO queue of (free element, value, derivation)
-    triples, processed in the closure's sweep order. Returns (member,
-    separating identity as text or None, assignment)."""
+    """The pair walk `_separating_identity` replaced: a FIFO queue of
+    (free element, value, derivation) triples, processed in the
+    closure's sweep order. Returns (member, separating identity as text
+    or None, assignment)."""
     uni = _universe(spec, a.order)
     k = a.order
     assignment = {f"x{i + 1}": i for i in range(k)}
@@ -235,6 +235,8 @@ def reference_member(a, spec):
 
 
 def test_member_matches_reference_walk_on_all_algebras_up_to_order_3():
+    # the universe walk stays the oracle: _separating_identity must give
+    # the reference walk's certificate, and member its verdict
     standard = standard_subvariety_specs()
     specs = [
         *standard,
@@ -252,13 +254,11 @@ def test_member_matches_reference_walk_on_all_algebras_up_to_order_3():
     members = 0
     for a in algebras:
         for s in specs:
+            sep = variety._separating_identity(a, _universe(s, a.order))
             res = member(a, s)
-            got = (
-                res.member,
-                None if res.separating_identity is None else str(res.separating_identity),
-                res.assignment,
-            )
+            got = (sep is None, None if sep is None else str(sep), res.assignment)
             assert got == reference_member(a, s), (a.add, a.mul, s.label)
+            assert res.member == (sep is None), (a.add, a.mul, s.label)
             members += res.member
     # both verdicts are exercised
     assert 0 < members < len(algebras) * len(specs)
@@ -392,10 +392,10 @@ def test_specs_sharing_a_pattern_are_rejected():
 
 
 def test_standard_order_comes_from_the_closed_form(monkeypatch):
-    # the closure stays the oracle: member on every generator
+    # the closure stays the oracle: its verdict on every generator
     specs = standard_subvariety_specs()
     expected = tuple(
-        tuple(all(member(x, t).member for x in s.generators) for t in specs)
+        tuple(all(closure_member(x, t) for x in s.generators) for t in specs)
         for s in specs
     )
 
@@ -403,7 +403,8 @@ def test_standard_order_comes_from_the_closed_form(monkeypatch):
         raise AssertionError("_standard() compared specs through the closure")
 
     monkeypatch.setattr(variety, "compare", refuse)
-    monkeypatch.setattr(variety, "member", refuse)
+    monkeypatch.setattr(variety, "_universe", refuse)
+    monkeypatch.setattr(variety, "_separating_identity", refuse)
     variety._standard.cache_clear()
     variety._closed_forms.clear()
     assert variety._standard()[1] == expected
@@ -447,22 +448,23 @@ def test_compare_builds_no_closure_inside_r_or_its_dual(monkeypatch):
         raise AssertionError("compare reached the closure")
 
     variety._universe_cache.clear()
-    monkeypatch.setattr(variety, "member", refuse)
     monkeypatch.setattr(variety, "_universe", refuse)
+    monkeypatch.setattr(variety, "_separating_identity", refuse)
     assert build_lattice(standard_subvariety_specs()).distributive
     assert build_lattice(_dual_specs()).distributive
     assert not variety._universe_cache
 
 
 def test_compare_outside_r_and_its_dual_reaches_member(monkeypatch):
+    # member walks a universe only outside R and its dual
     calls = []
-    closure_member = variety.member
+    walk = variety._separating_identity
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return closure_member(*args, **kwargs)
+        return walk(*args, **kwargs)
 
-    monkeypatch.setattr(variety, "member", counted)
+    monkeypatch.setattr(variety, "_separating_identity", counted)
     outside = spec("V(M2_or_D2_a)", "M2_or_D2_a")
     assert compare(outside, spec("V(L2)", "L2")) == _closure_verdict(
         outside, spec("V(L2)", "L2")
@@ -545,7 +547,7 @@ def test_closed_form_agrees_with_member_up_to_order_4():
             for b in (a, moved):
                 values = _join_values(b)
                 for s in specs:
-                    got = _closed_form_member(values, _closed_form(s, n))
+                    got = _first_failing_subset(values, _closed_form(s, n)) is None
                     assert got == member(b, s).member == closure_member(b, s), (
                         b.add,
                         b.mul,
@@ -580,9 +582,9 @@ def test_classification_builds_no_closure(monkeypatch):
     # cold: the inclusion order and the closed forms are built afresh
     variety._standard.cache_clear()
     variety._closed_forms.clear()
-    monkeypatch.setattr(variety, "member", refuse)
     monkeypatch.setattr(variety, "compare", refuse)
     monkeypatch.setattr(variety, "_universe", refuse)
+    monkeypatch.setattr(variety, "_separating_identity", refuse)
     for a in enumerate_row_constant(4).items:
         classify_generated(a)
 
@@ -714,20 +716,12 @@ def test_free_algebra_order_mismatch_raises(monkeypatch):
         return (0,) + (1,) * (4**k - 1)
 
     monkeypatch.setattr(variety, "_closed_form", merged)
-    with pytest.raises(RuntimeError, match="closed form"):
-        free_algebra(spec("V(L2)", "L2"), 2)
-    assert free_algebra(spec("T", "trivial"), 2).algebra.order == 1
-
-
-def test_corrupt_closed_form_is_caught_for_member_and_never_cached(monkeypatch):
-    def merged(spec, k):
-        return (0,) + (1,) * (4**k - 1)
-
-    monkeypatch.setattr(variety, "_closed_form", merged)
     variety._universe_cache.clear()
     with pytest.raises(RuntimeError, match="closed form"):
-        member(g("L2"), spec("V(L2)", "L2"))
+        free_algebra(spec("V(L2)", "L2"), 2)
+    # a universe that disagrees with its closed form is never cached
     assert not variety._universe_cache
+    assert free_algebra(spec("T", "trivial"), 2).algebra.order == 1
 
 
 def _universe_fields(uni):
@@ -759,24 +753,35 @@ def test_replayed_universe_equals_the_closure(k):
     assert ("dual R" in flipped) == (k <= 3)
 
 
-def test_member_certificates_agree_on_both_routes(monkeypatch):
-    algebras = [a for n in (1, 2, 3) for a in enumerate_ai_semirings(n).items]
-    specs = standard_subvariety_specs()
-    assert all(variety._closed_route(s, 3, DEFAULT_CELL_LIMIT) for s in specs)
-
-    def certificates():
-        variety._universe_cache.clear()
-        out = []
+def test_closed_form_certificates_are_sound_and_verdicts_match_the_closure():
+    # every algebra of orders 1-3 and the row-constant ones of order 4,
+    # against the ten standard specs and their duals: all on member's
+    # closed-form route, the closure stays the oracle for the verdicts
+    algebras = [
+        *(a for n in (1, 2, 3) for a in enumerate_ai_semirings(n).items),
+        *enumerate_row_constant(4).items,
+    ]
+    specs = standard_subvariety_specs() + _dual_specs()
+    assert all(variety._closed_route(s, 4, DEFAULT_CELL_LIMIT) for s in specs)
+    members = pairs = 0
+    for s in specs:
+        inside_r = all(satisfies(x, "xy = xz").holds for x in s.generators)
         for a in algebras:
-            for s in specs:
-                res = member(a, s)
-                out.append((res.member, str(res.separating_identity), res.assignment))
-        return out
-
-    replayed = certificates()
-    monkeypatch.setattr(variety, "_closed_route", lambda *args: None)
-    assert certificates() == replayed
-    assert 0 < sum(verdict for verdict, _, _ in replayed) < len(replayed)
+            res = member(a, s)
+            assert res.member == closure_member(a, s), (a.add, a.mul, s.label)
+            pairs += 1
+            members += res.member
+            sep = res.separating_identity
+            if res.member:
+                assert sep is None
+                continue
+            for generator in s.generators:
+                assert satisfies(generator, sep).holds, (str(sep), s.label)
+            lhs = evaluate(a, sep.lhs, res.assignment)
+            assert lhs != evaluate(a, sep.rhs, res.assignment), (str(sep), s.label)
+            if inside_r:
+                assert holds_in(s, sep), (str(sep), s.label)
+    assert (pairs, members) == (2560, 425)
 
 
 def test_closed_form_over_the_budget_falls_back_to_the_closure():
