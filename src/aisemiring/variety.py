@@ -33,16 +33,19 @@ identity holds exactly when they share a class.
 
 `member` is the one membership decision. One switch, _closed_route,
 picks its route for a spec at a rank: the closed form when every
-generator lies in R, or in its dual (yx = zx, through `dual`), and the
-closed form fits the cell budget; the closure otherwise. On the
-closed-form route `member` builds no free algebra, and its certificate
-is xy = xz (mirrored in the dual) or the first subset S with
-S = rep[S] failing. `compare`, `build_lattice` and the standard order
-read one inclusion matrix (_leq) of `member` verdicts. `free_algebra`
-needs the free algebra itself, with its tables and witnesses; on the
-closed-form route _universe runs the closure's sweep over the closed
-form's classes, which gives the same elements in the same order, hence
-the same witnesses (see _Universe).
+generator lies in R, or in its dual (yx = zx: all rows of the product
+are equal), and the closed form fits the cell budget; the closure
+otherwise. A subset's join reads only + and the squares x_i x_i, which
+transposing the product keeps, so a spec and its dual have one closed
+form. On the closed-form route `member` builds no free algebra, and its
+certificate is xy = xz (mirrored in the dual) or the first subset S
+with S = rep[S] failing. `compare`, `build_lattice` and the standard
+order read one inclusion matrix (_leq) of `member` verdicts.
+`free_algebra` needs the free algebra itself, with its tables and
+witnesses; on the closed-form route _universe runs the closure's sweep
+over the closed form's classes, which gives the same elements in the
+same order, hence the same witnesses (see _Universe). No free algebra
+outlives its call; only the closed forms are cached.
 """
 
 from __future__ import annotations
@@ -166,18 +169,19 @@ class _Universe(_Vectors):
     those indices, equal rows of `mul_tab` sharing one tuple.
 
     With `closed_form` = (rep, flipped), rep being the closed form of
-    F_R(k) for the generators (dualised when `flipped`), the sweep runs
-    over rep's classes instead of evaluation vectors: S + T is
-    rep[S | T], and S.T is rep[sq(S)] inside R and rep[sq(T)] inside its
-    dual, sq(S) being the squares x_i x_i of the variables S mentions.
-    Classes and vectors correspond one to one and so do the operations,
-    so the sweep discovers the same elements in the same order as the
-    closure does, and `vectors` are the joins of the classes' subsets.
+    F_R(k) for the generators, inside R or (when `flipped`) its dual,
+    the sweep runs over rep's classes instead of evaluation vectors:
+    S + T is rep[S | T], and S.T is rep[sq(S)] inside R and rep[sq(T)]
+    inside its dual, sq(S) being the squares x_i x_i of the variables S
+    mentions. Classes and vectors correspond one to one and so do the
+    operations, so the sweep discovers the same elements in the same
+    order as the closure does, and `vectors` are the joins of the
+    classes' subsets.
     """
 
     def __init__(self, generators, k, cell_limit, closed_form=None):
         super().__init__(generators, k)
-        self.checked_form = None  # the closed form _universe last checked
+        self.closed_form = closed_form
         if closed_form is None:
             self.vectors = self._sweep(*self._vector_ops(), cell_limit // self.width)
         else:
@@ -303,50 +307,21 @@ class _Universe(_Vectors):
         return len(self.vectors)
 
 
-# free algebras by (spec.key(), rank), least recently used first; their
-# cells, _universe_cells each, sum to at most _UNIVERSE_CACHE_CELLS
-_universe_cache: OrderedDict[tuple[tuple, int], _Universe] = OrderedDict()
-_UNIVERSE_CACHE_CELLS = 4 * 10**6
-
-
-def _universe_cells(uni: _Universe) -> int:
-    """The size x width vector cells plus the 2 x size^2 cells of the
-    operation tables; the rank-5 free algebra of V(S4_475), built from
-    the closed form or by closure alike, holds 3,140,610."""
-    return uni.size * (uni.width + 2 * uni.size)
-
-
 def _universe(
     spec: VarietySpec, k: int, cell_limit: int = DEFAULT_CELL_LIMIT
 ) -> _Universe:
-    key = (spec.key(), k)
+    """The rank-k free algebra of V(spec), built afresh on the route
+    _closed_route picks; a closed-form build is checked against its
+    closed form (see _check_closed_form)."""
     width = sum(g.order**k for g in spec.generators)
-    if width * max(1, k) > cell_limit:
+    if width * k > cell_limit:
         raise ResourceBudgetError(
             f"evaluation vectors of length {width} exceed the cell budget"
         )
     route = _closed_route(spec, k, cell_limit)
-    uni = _universe_cache.get(key)
-    if uni is None:
-        uni = _Universe(spec.generators, k, cell_limit, route)
-    # enforce the caller's budget even when the universe is already cached,
-    # so budget errors do not depend on call order
-    if uni.size * width > cell_limit:
-        raise ResourceBudgetError(
-            f"free-algebra closure of size {uni.size} exceeds the configured budget"
-        )
-    if route is not None and uni.checked_form is not route[0]:
-        # a cached universe is checked against each closed form it meets,
-        # so a corrupt one is caught whatever the call order and never
-        # cached; a closed form served from its cache is checked once
+    uni = _Universe(spec.generators, k, cell_limit, route)
+    if route is not None:
         _check_closed_form(uni, route[0], spec.label)
-        uni.checked_form = route[0]
-    _universe_cache[key] = uni
-    _universe_cache.move_to_end(key)
-    cells = sum(map(_universe_cells, _universe_cache.values()))
-    while cells > _UNIVERSE_CACHE_CELLS:
-        _key, old = _universe_cache.popitem(last=False)
-        cells -= _universe_cells(old)
     return uni
 
 
@@ -374,15 +349,15 @@ def free_algebra(
     `cell_limit` bounds the free algebra's size x width vector cells,
     width being the sum of |g|^k over the generators g; past it
     ResourceBudgetError is raised rather than a partial algebra
-    returned. For a spec inside R or its dual whose closed form's
-    (4^k - 1) x width cells fit `cell_limit`, the algebra is built from
-    the closed form, and the closed form is checked at any size first:
-    each subset's join must equal its representative's, and the
-    representatives' joins must be distinct (else RuntimeError), which
-    vouches for the tables too. Other specs take the closure; the
-    elements, tables and witnesses are the same on both routes. Only a
-    closure-built algebra has its axioms checked, an O(n^3) check, and
-    only up to order 100.
+    returned. Each call builds the algebra afresh; none is kept. For a
+    spec inside R or its dual whose closed form's (4^k - 1) x width
+    cells fit `cell_limit`, the algebra is built from the closed form,
+    which is checked on each build: each subset's join must equal its
+    representative's, and the representatives' joins must be distinct
+    (else RuntimeError), which vouches for the tables too. Other specs
+    take the closure; the elements, tables and witnesses are the same on
+    both routes. Only a closure-built algebra has its axioms checked, an
+    O(n^3) check, and only up to order 100.
     """
     if k < 1:
         raise ValueError("rank must be positive")
@@ -390,7 +365,7 @@ def free_algebra(
     algebra = FiniteAlgebra(
         uni.size, uni.add_tab, uni.mul_tab, f"F({spec.label},{k})"
     )
-    if uni.checked_form is None and algebra.order <= 100:
+    if uni.closed_form is None and algebra.order <= 100:
         algebra.validate()
     return FreeAlgebraResult(
         algebra=algebra,
@@ -430,8 +405,9 @@ def member(
     satisfies S = rep[S] for every subset S (Birkhoff's completeness
     theorem applied to F_R(k); see classify_generated), and the first S
     that fails gives sum rep[S] = sum S. Inside the dual of R the same
-    test runs on dual(a) against the dualised spec's closed form; the
-    first identity is mirrored, the second reads the same mirrored.
+    test runs on the columns of a's product and the spec's own closed
+    form, since subset joins agree in `a` and dual(a); the first
+    identity is mirrored, the second reads the same mirrored.
 
     Any other spec, or a closed form over `cell_limit`, takes the free
     algebra of rank k that _universe builds by closure, whose size x
@@ -460,14 +436,14 @@ def _closed_form_identity(
 ) -> Identity | None:
     """member's separating identity on the closed-form route, None for
     a member (see member)."""
-    b = dual(a) if flipped else a
-    if not _in_r(b):
+    if not _in_r(a, flipped):
+        b = dual(a) if flipped else a
         i, row = next((i, row) for i, row in enumerate(b.mul) if row.count(row[0]) < b.order)
         j = next(j for j, x in enumerate(row) if x != row[0])
         xi = _variable(i)
         ident = Identity(TermNF([(xi, _variable(0))]), TermNF([(xi, _variable(j))]))
         return ident.mirror() if flipped else ident
-    s = _first_failing_subset(_join_values(b), rep)
+    s = _first_failing_subset(_join_values(a), rep)
     if s is None:
         return None
     return Identity(_subset_term(rep[s], a.order), _subset_term(s, a.order))
@@ -713,16 +689,25 @@ def _subset_joins(letters, add) -> list:
     return joins
 
 
-def _in_r(a: FiniteAlgebra) -> bool:
+def _in_r(a: FiniteAlgebra, flipped: bool = False) -> bool:
     """Whether `a` satisfies xy = xz, i.e. every row of its product is
-    constant."""
+    constant; when `flipped`, whether it satisfies yx = zx, i.e. all
+    rows are equal."""
+    if flipped:
+        return all(row == a.mul[0] for row in a.mul)
     return all(row.count(row[0]) == a.order for row in a.mul)
 
 
-# rep tuples by (spec.key(), rank), least recently used first; their
-# lengths, 4^k each, sum to at most _CLOSED_FORM_CACHE_CELLS
+# rep tuples by (_closed_form_key, rank), least recently used first;
+# their lengths, 4^k each, sum to at most _CLOSED_FORM_CACHE_CELLS
 _closed_forms: OrderedDict[tuple[tuple, int], tuple[int, ...]] = OrderedDict()
 _CLOSED_FORM_CACHE_CELLS = 4**9
+
+
+def _closed_form_key(spec: VarietySpec) -> tuple:
+    """What the closed form reads of each generator: its + table and its
+    squares, which a generator and its dual share."""
+    return tuple((g.add, tuple(row[x] for x, row in enumerate(g.mul))) for g in spec.generators)
 
 
 def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
@@ -730,25 +715,25 @@ def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
     whose join has the same evaluation vector as S over the spec's
     generators (rep[0] = 0 pads the empty subset).
 
-    Cached by the generators (spec.key(), as the universe cache is) and
-    rank, so specs that differ only in label share an entry. An entry
-    holds 4^k ints, and least recently used entries leave first once
-    the entries together hold more than _CLOSED_FORM_CACHE_CELLS;
-    classification alone asks for the ten standard specs at ranks up to
-    5, 13,640 ints. No budget is checked here: callers check
-    (4^k - 1) x width cells first (see _check_cell_budget).
+    Cached by the generators' + tables and squares (_closed_form_key)
+    and rank, so specs that differ only in label, and a spec and its
+    dual, share an entry. An entry holds 4^k ints, and least recently
+    used entries leave first once the entries together hold more than
+    _CLOSED_FORM_CACHE_CELLS; classification alone asks for the ten
+    standard specs at ranks up to 5, 13,640 ints. No budget is checked
+    here: callers check (4^k - 1) x width cells first (see
+    _check_cell_budget).
 
-    Raises ValueError when a generator falsifies xy = xz, since the
-    letters then no longer span the free algebra.
+    Nor is the spec checked: rep is the closed form of F_R(k) only when
+    every generator lies in R, or of its dual only when every one lies
+    in the dual, since otherwise the letters no longer span the free
+    algebra. Every reader checks this first.
     """
-    key = (spec.key(), k)
+    key = (_closed_form_key(spec), k)
     rep = _closed_forms.get(key)
     if rep is not None:
         _closed_forms.move_to_end(key)
         return rep
-    for g in spec.generators:
-        if not _in_r(g):
-            raise ValueError(f"generator {g!r} of {spec.label!r} falsifies xy = xz")
     joins = _letter_joins(_Vectors(spec.generators, k))
     first: dict = {}
     rep = tuple(first.setdefault(vec, subset) for subset, vec in enumerate(joins))
@@ -769,20 +754,18 @@ def _letter_joins(vectors: _Vectors) -> list:
 
 def _closed_route(spec: VarietySpec, k: int, cell_limit: int):
     """The route of _universe and member. (rep, flipped) for the
-    closed form: rep of the spec when every generator lies in R, rep of
-    the dualised spec with flipped set when every one lies in its dual.
-    None, so that the closure runs, for any other spec or when the
-    closed form's (4^k - 1) x width cells exceed `cell_limit`; the
-    closure never holds more cells than the closed form, so no budget
-    verdict depends on the route."""
+    closed form, rep being the spec's own: flipped is unset when every
+    generator lies in R (rows constant), set when every one lies in its
+    dual (rows equal). None, so that the closure runs, for any other
+    spec or when the closed form's (4^k - 1) x width cells exceed
+    `cell_limit`; the closure never holds more cells than the closed
+    form, so no budget verdict depends on the route."""
     width = sum(g.order**k for g in spec.generators)
     if (4**k - 1) * width > cell_limit:
         return None
-    if all(map(_in_r, spec.generators)):
-        return _closed_form(spec, k), False
-    generators = tuple(map(dual, spec.generators))
-    if all(map(_in_r, generators)):
-        return _closed_form(VarietySpec(spec.label, generators), k), True
+    for flipped in (False, True):
+        if all(_in_r(g, flipped) for g in spec.generators):
+            return _closed_form(spec, k), flipped
     return None
 
 
@@ -813,7 +796,8 @@ def _check_closed_form(uni: _Universe, rep: tuple[int, ...], label: str) -> None
     over uni's generators and has uni.size classes: each subset's join
     equals its representative's, and the representatives' joins are
     pairwise distinct. The joins of a subset agree over a generator and
-    its dual, so the check serves both routes."""
+    its dual, so the check serves both routes. _universe runs it on
+    every closed-form build."""
     joins = _letter_joins(uni)
     classes = set(rep[1:])  # rep[0] pads the empty subset
     if (
@@ -847,8 +831,9 @@ def holds_in(spec: VarietySpec, ident: Identity | str) -> bool:
     length 1 and for x_i x_i otherwise, since xw = xx in R. The identity
     holds in V(spec) exactly when both subsets have the same
     representative in the closed form of rank k. Raises ValueError for
-    a spec outside R, and ResourceBudgetError before any vector is built
-    when the closed form would exceed the cell budget.
+    a spec outside R (the dual shares its closed form, but a word there
+    reduces by its last letter), and ResourceBudgetError before any
+    vector is built when the closed form would exceed the cell budget.
     """
     if isinstance(ident, str):
         ident = parse_identity(ident)
@@ -863,6 +848,9 @@ def holds_in(spec: VarietySpec, ident: Identity | str) -> bool:
             mask |= 1 << (bit[w[0]] + (k if len(w) > 1 else 0))
         return mask
 
+    for g in spec.generators:
+        if not _in_r(g):
+            raise ValueError(f"generator {g!r} of {spec.label!r} falsifies xy = xz")
     rep = _closed_form(spec, k)
     return rep[subset(ident.lhs)] == rep[subset(ident.rhs)]
 
@@ -892,13 +880,12 @@ def _subset_term(s: int, k: int) -> TermNF:
 
 def _leq(specs, cell_limit: int = DEFAULT_CELL_LIMIT) -> tuple[tuple[bool, ...], ...]:
     """leq[i][j] iff each generator of specs[i] is a member of
-    V(specs[j]); the diagonal holds without a test. Inside R or its dual
-    this builds no free algebra (see member)."""
+    V(specs[j]); the diagonal holds without a test. `member` answers
+    each (generator, spec) question once, however many specs share the
+    generator; inside R or its dual it builds no free algebra."""
+    contains = lru_cache(maxsize=None)(lambda j, g: member(g, specs[j], cell_limit).member)
     return tuple(
-        tuple(
-            i == j or all(member(g, t, cell_limit).member for g in s.generators)
-            for j, t in enumerate(specs)
-        )
+        tuple(i == j or all(contains(j, g) for g in s.generators) for j in range(len(specs)))
         for i, s in enumerate(specs)
     )
 
@@ -906,8 +893,11 @@ def _leq(specs, cell_limit: int = DEFAULT_CELL_LIMIT) -> tuple[tuple[bool, ...],
 @lru_cache(maxsize=1)
 def _standard():
     """The ten standard specs, their inclusion order (all of them are in
-    R, so _leq builds no closure) and pattern index."""
+    R, so _leq builds no closure) and pattern index. Being in R is
+    checked here, since classify_generated reads their closed forms."""
     specs = tuple(standard_subvariety_specs())
+    if not all(_in_r(g) for s in specs for g in s.generators):
+        raise ValueError("a standard spec falsifies xy = xz")
     return specs, _leq(specs), _pattern_index(specs)
 
 

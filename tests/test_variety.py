@@ -189,12 +189,11 @@ def test_member_negative_with_checkable_certificate(candidate, gens, expected):
     assert lhs != rhs
 
 
-def reference_member(a, spec):
-    """The pair walk `_separating_identity` replaced: a FIFO queue of
-    (free element, value, derivation) triples, processed in the
-    closure's sweep order. Returns (member, separating identity as text
-    or None, assignment)."""
-    uni = _universe(spec, a.order)
+def reference_member(a, uni):
+    """The pair walk `_separating_identity` replaced, over the free
+    algebra `uni` of rank |a|: a FIFO queue of (free element, value,
+    derivation) triples, processed in the closure's sweep order. Returns
+    (member, separating identity as text or None, assignment)."""
     k = a.order
     assignment = {f"x{i + 1}": i for i in range(k)}
 
@@ -251,13 +250,16 @@ def test_member_matches_reference_walk_on_all_algebras_up_to_order_3():
     ]
     algebras = [a for n in (1, 2, 3) for a in enumerate_ai_semirings(n).items]
     assert len(algebras) == 1 + 6 + 61
+    # no free algebra is kept between calls, so each is built once here
+    universes = {(i, n): _universe(s, n) for i, s in enumerate(specs) for n in (1, 2, 3)}
     members = 0
     for a in algebras:
-        for s in specs:
-            sep = variety._separating_identity(a, _universe(s, a.order))
+        for i, s in enumerate(specs):
+            uni = universes[i, a.order]
+            sep = variety._separating_identity(a, uni)
             res = member(a, s)
             got = (sep is None, None if sep is None else str(sep), res.assignment)
-            assert got == reference_member(a, s), (a.add, a.mul, s.label)
+            assert got == reference_member(a, uni), (a.add, a.mul, s.label)
             assert res.member == (sep is None), (a.add, a.mul, s.label)
             members += res.member
     # both verdicts are exercised
@@ -402,12 +404,24 @@ def test_standard_order_comes_from_the_closed_form(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("_standard() compared specs through the closure")
 
+    calls = []
+    ask = variety.member
+
+    def counted(a, s, *args):
+        calls.append((a, s.label))
+        return ask(a, s, *args)
+
     monkeypatch.setattr(variety, "compare", refuse)
     monkeypatch.setattr(variety, "_universe", refuse)
     monkeypatch.setattr(variety, "_separating_identity", refuse)
+    monkeypatch.setattr(variety, "member", counted)
     variety._standard.cache_clear()
     variety._closed_forms.clear()
     assert variety._standard()[1] == expected
+    # one call per (generator, spec) question: 6 generators against 10
+    # specs, less those the diagonal or an earlier failing generator
+    # leaves unasked
+    assert len(calls) == len(set(calls)) == 56
 
 
 def _closure_verdict(v1, v2):
@@ -444,15 +458,16 @@ def test_compare_agrees_with_the_closure(family):
 
 
 def test_compare_builds_no_closure_inside_r_or_its_dual(monkeypatch):
+    # nor does it dualise an algebra: the dual family is decided on its
+    # own closed forms and on the columns of its generators' products
     def refuse(*args, **kwargs):
-        raise AssertionError("compare reached the closure")
+        raise AssertionError("compare reached the closure or dualised an algebra")
 
-    variety._universe_cache.clear()
     monkeypatch.setattr(variety, "_universe", refuse)
     monkeypatch.setattr(variety, "_separating_identity", refuse)
+    monkeypatch.setattr(variety, "dual", refuse)
     assert build_lattice(standard_subvariety_specs()).distributive
     assert build_lattice(_dual_specs()).distributive
-    assert not variety._universe_cache
 
 
 def test_compare_outside_r_and_its_dual_reaches_member(monkeypatch):
@@ -513,10 +528,9 @@ def test_budget_errors_are_not_answers():
         free_algebra(R_SPEC, 2, cell_limit=2 * 16)  # two vectors of width 16
 
 
-@pytest.mark.parametrize("cold", [True, False], ids=["cold", "cached"])
-def test_cell_limit_cuts_exactly_at_size_times_width(cold):
+def test_cell_limit_cuts_exactly_at_size_times_width():
     # the rank-k closure holds size x width vector cells, so that product
-    # is the least budget that admits it, whether built afresh or cached
+    # is the least budget that admits it
     uni = _universe(R_SPEC, 2)
     assert (uni.size, uni.width) == (15, 16)
     cells = uni.size * uni.width
@@ -526,8 +540,6 @@ def test_cell_limit_cuts_exactly_at_size_times_width(cold):
     )
     for call in calls:
         for limit, fits in ((cells - uni.width, False), (cells, True)):
-            if cold:
-                variety._universe_cache.clear()
             if fits:
                 assert call(limit)
             else:
@@ -567,12 +579,14 @@ def test_closed_form_of_r_separates_every_subset(k):
     assert _closed_form(R_SPEC, k) == tuple(range(4**k))
 
 
-def test_closed_form_rejects_generators_outside_r():
+def test_closed_route_flips_the_dual_and_refuses_mixed_specs():
+    # R2 lies in the dual of R, and its route reads its own closed form;
+    # S4_475 and R2 together lie in neither, so the closure answers
     assert not satisfies(g("R2"), "xy = xz").holds
-    with pytest.raises(ValueError, match="falsifies xy = xz"):
-        _closed_form(spec("V(R2)", "R2"), 2)
-    with pytest.raises(ValueError, match="falsifies xy = xz"):
-        _closed_form(spec("V(S4_475,R2)", "S4_475", "R2"), 1)
+    r2 = spec("V(R2)", "R2")
+    assert variety._closed_route(r2, 2, DEFAULT_CELL_LIMIT) == (_closed_form(r2, 2), True)
+    mixed = spec("V(S4_475,R2)", "S4_475", "R2")
+    assert variety._closed_route(mixed, 1, DEFAULT_CELL_LIMIT) is None
 
 
 def test_classification_builds_no_closure(monkeypatch):
@@ -657,32 +671,9 @@ def test_closed_form_cache_stays_bounded(monkeypatch):
     _closed_form(c, 3)
     _closed_form(a, 1)  # a is now the most recently used
     _closed_form(d, 2)
-    assert list(variety._closed_forms) == [(c.key(), 3), (a.key(), 1), (d.key(), 2)]
+    key = variety._closed_form_key
+    assert list(variety._closed_forms) == [(key(c), 3), (key(a), 1), (key(d), 2)]
     assert _cached_cells() == 84
-
-
-def _cached_universe_cells():
-    return sum(map(variety._universe_cells, variety._universe_cache.values()))
-
-
-def test_universe_cache_stays_bounded(monkeypatch):
-    # one rank-5 V(S4_475) closure, 1,023 vectors of width 4^5, fits
-    assert variety._UNIVERSE_CACHE_CELLS >= 1023 * (4**5 + 2 * 1023)
-    # with room for 12 + 30 + 48 cells, a second 30-cell closure evicts
-    # the least recently used one
-    monkeypatch.setattr(variety, "_UNIVERSE_CACHE_CELLS", 90)
-    variety._universe_cache.clear()
-    a, b, c, d = (spec(f"V({n})", n) for n in ("T2", "L2", "N2", "R2"))
-    variety._universe(a, 1)
-    variety._universe(b, 2)
-    variety._universe(c, 2)
-    variety._universe(a, 1)  # a is now the most recently used
-    variety._universe(d, 2)
-    assert list(variety._universe_cache) == [(c.key(), 2), (a.key(), 1), (d.key(), 2)]
-    assert _cached_universe_cells() == 90
-    # a closure larger than the whole cap is returned but not kept
-    assert variety._universe(spec("V(S58)", "S58"), 2).size == 8
-    assert not variety._universe_cache
 
 
 def test_closed_form_cache_ignores_labels():
@@ -690,7 +681,17 @@ def test_closed_form_cache_ignores_labels():
     variety._closed_forms.clear()
     rep = _closed_form(spec("V(L2,N2)", "L2", "N2"), 2)
     assert _closed_form(spec("V(L2)+V(N2)", "L2", "N2"), 2) is rep
-    assert list(variety._closed_forms) == [(spec("", "L2", "N2").key(), 2)]
+    assert list(variety._closed_forms) == [(variety._closed_form_key(spec("", "L2", "N2")), 2)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_a_spec_and_its_dual_share_one_closed_form(k):
+    # subset joins read only + and the squares, which dualising keeps
+    variety._closed_forms.clear()
+    for s, d in zip(standard_subvariety_specs(), _dual_specs()):
+        rep = _closed_form(s, k)
+        assert _closed_form(d, k) is rep, (s.label, k)
+    assert len(variety._closed_forms) == 10
 
 
 def test_rank_9_closed_form_leaves_the_cache_within_its_cap():
@@ -700,7 +701,7 @@ def test_rank_9_closed_form_leaves_the_cache_within_its_cap():
     trivial = spec("T", "trivial")
     assert holds_in(trivial, " + ".join(f"x{i}" for i in range(1, 10)) + " = x1")
     assert _cached_cells() <= variety._CLOSED_FORM_CACHE_CELLS
-    assert (trivial.key(), 9) in variety._closed_forms
+    assert (variety._closed_form_key(trivial), 9) in variety._closed_forms
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -716,11 +717,8 @@ def test_free_algebra_order_mismatch_raises(monkeypatch):
         return (0,) + (1,) * (4**k - 1)
 
     monkeypatch.setattr(variety, "_closed_form", merged)
-    variety._universe_cache.clear()
     with pytest.raises(RuntimeError, match="closed form"):
         free_algebra(spec("V(L2)", "L2"), 2)
-    # a universe that disagrees with its closed form is never cached
-    assert not variety._universe_cache
     assert free_algebra(spec("T", "trivial"), 2).algebra.order == 1
 
 
@@ -790,7 +788,6 @@ def test_closed_form_over_the_budget_falls_back_to_the_closure():
     l2 = spec("V(L2)", "L2")
     assert 255 * 2**8 <= DEFAULT_CELL_LIMIT < (4**8 - 1) * 2**8
     assert variety._closed_route(l2, 8, DEFAULT_CELL_LIMIT) is None
-    variety._universe_cache.clear()
     assert free_algebra(l2, 8).algebra.order == 255
 
 
