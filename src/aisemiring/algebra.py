@@ -464,16 +464,38 @@ def are_isomorphic(
 
 
 def automorphisms(tables: Sequence[Table], n: int) -> list[tuple[int, ...]]:
-    """All permutations preserving every given table (identity included)."""
+    """All permutations preserving every given table (identity included),
+    in lexicographic order.
+
+    Backtracks over perm[0], perm[1], ...; each cell t[x][y] = z is
+    checked once x, y and z are all mapped, at the largest of the three.
+    """
+    # closing[k]: the cells whose row, column and value are all mapped
+    # once perm[k] is
+    closing = [[] for _ in range(n)]
+    for t in tables:
+        for x in range(n):
+            for y in range(n):
+                z = t[x][y]
+                closing[max(x, y, z)].append((t, x, y, z))
+    perm = [-1] * n
+    free = [True] * n
     out = []
-    for perm in itertools.permutations(range(n)):
-        if all(
-            perm[t[x][y]] == t[perm[x]][perm[y]]
-            for t in tables
-            for x in range(n)
-            for y in range(n)
-        ):
-            out.append(perm)
+
+    def dfs(k: int):
+        if k == n:
+            out.append(tuple(perm))
+            return
+        for v in range(n):
+            if not free[v]:
+                continue
+            perm[k] = v
+            if all(perm[z] == t[perm[x]][perm[y]] for t, x, y, z in closing[k]):
+                free[v] = False
+                dfs(k + 1)
+                free[v] = True
+
+    dfs(0)
     return out
 
 

@@ -435,8 +435,8 @@ def _figure1_claims(lat, expected_edges, expected_atoms, dual_mode: bool):
             ", ".join(sorted(labels[i] for i in lat.atoms())),
         ),
     ]
-    # the lattice's top: V(S4_475), or its dual
-    top = next(j for j, col in enumerate(zip(*lat.leq)) if all(col))
+    # the lattice's top by its label: R = V(S4_475), or its dual C
+    top = labels.index("C" if dual_mode else "R")
     g = catalog.get
     big = VarietySpec("S58,N2", (g("S58"), g("N2")))
     name = "V(S4_475) equals V(S58,N2)"

@@ -10,7 +10,9 @@ Three pipelines:
   backtracking over multiplication cells with incremental
   associativity/distributivity checks, forced cells and lex-leader
   pruning, so only tables minimal under the reduct's automorphism
-  group complete; the chunk workers check each against the six laws;
+  group complete; the (reduct, first value) chunks go to the workers
+  largest first, each worker checks its tables against the six laws,
+  and the parent builds each chunk's algebras as they arrive;
 * the row-constant class: multiplication x*y = f(x) with f an
   idempotent additive endomorphism of the reduct, enumerated as (reduct,
   f) pairs up to reduct automorphism. The column-constant class (the
@@ -148,11 +150,21 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
     compared advances over the known cells; a smaller image there cuts
     the subtree and a larger one settles p, so exactly the tables least
     in their orbits complete. Returns (tables, nodes, completed).
+
+    `consistent` runs its checks in the order that rejects soonest: at
+    order 5, associativity with the new cell as xy, then as yz, then
+    left and right distributivity reject almost all of the nodes that
+    fail; the `holding` loops reject few and the `sums` loops none.
+    Cells are filled row-major, so the rows past a and the cells past b
+    in row a are empty: the loops skip them through the prefixes `above`
+    and `lead`, and read the known cells before them without a -1 test.
     """
     rng = range(n)
     rows = [[-1] * n for _ in rng]
     flat = [-1] * (n * n)  # the same cells, row-major
     adds = [add_flat[x * n : x * n + n] for x in rng]
+    above = [rows[:k] for k in range(n + 1)]  # the rows before row k
+    lead = [row[:k] for k, row in enumerate(adds)]  # x + y for y < x
     results: list[tuple[int, ...]] = []
     nodes = 0
     # sums[c]: the pairs y < z, both other than c, with y + z = c; an
@@ -187,14 +199,17 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
 
     def consistent(a: int, b: int, v: int) -> bool:
         arow = rows[a]
-        # associativity with the new cell as xy, as yz, as the outer
-        # product of (xy)z and as the outer product of x(yz)
-        for bz, left in zip(rows[b], rows[v]):
-            if bz != -1 and left != -1:
-                right = arow[bz]
-                if right != -1 and left != right:
-                    return False
-        for xrow in rows:
+        vsum = adds[v]
+        # associativity with the new cell as xy: (ab)z = a(bz); rows b
+        # and v are empty unless both are at most a
+        if b <= a and v <= a:
+            for bz, left in zip(rows[b], rows[v]):
+                if bz != -1 and left != -1:
+                    right = arow[bz]
+                    if right != -1 and left != right:
+                        return False
+        # associativity with the new cell as yz: (xa)b = x(ab), x <= a
+        for xrow in above[a + 1]:
             xa = xrow[a]
             if xa != -1:
                 left = rows[xa][b]
@@ -202,6 +217,20 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
                     right = xrow[v]
                     if right != -1 and left != right:
                         return False
+        # left distributivity a(b + z) = ab + az, z < b (z = b holds
+        # since v + v = v, and the cells past b in row a are empty)
+        for az, bz in zip(arow, lead[b]):
+            abz = arow[bz]
+            if abz != -1 and abz != vsum[az]:
+                return False
+        # right distributivity (a + y)b = ab + yb, y < a (y = a holds
+        # since v + v = v)
+        for yrow, ay in zip(above[a], adds[a]):
+            ayb = rows[ay][b]
+            if ayb != -1 and ayb != vsum[yrow[b]]:
+                return False
+        # associativity with the new cell as the outer product of (xy)z
+        # and of x(yz)
         for xrow, _x, y in holding[a]:
             yb = rows[y][b]
             if yb != -1:
@@ -214,25 +243,13 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
                 left = rows[ay][z]
                 if left != -1 and left != v:
                     return False
-        # left distributivity a(y + z) = ay + az with y = b or y + z = b
-        vsum = adds[v]
-        for az, bz in zip(arow, adds[b]):
-            if az != -1:
-                abz = arow[bz]
-                if abz != -1 and abz != vsum[az]:
-                    return False
+        # distributivity a(y + z) = ay + az with y + z = b, and
+        # (x + y)b = xb + yb with x + y = a
         for y, z in sums[b]:
             ay = arow[y]
             if ay != -1:
                 az = arow[z]
                 if az != -1 and v != adds[ay][az]:
-                    return False
-        # right distributivity (x + y)b = xb + yb with x = a or x + y = a
-        for yrow, ay in zip(rows, adds[a]):
-            yb = yrow[b]
-            if yb != -1:
-                ayb = rows[ay][b]
-                if ayb != -1 and ayb != vsum[yb]:
                     return False
         for x, y in sums[a]:
             xb = rows[x][b]
@@ -333,21 +350,21 @@ def enumerate_ai_semirings(
             chunks.append((add_flat, n, auts, v, node_budget))
             adds.append(add)
 
-    outputs = _run_chunks(chunks, workers)
-
-    algebras: list[FiniteAlgebra] = []
+    built: list[list[FiniteAlgebra]] = [[] for _ in chunks]
     nodes = 0
     complete = True
     rows: dict[bytes, tuple[int, ...]] = {}  # interned mul rows
-    for add, (packed, used, ok) in zip(adds, outputs):
+    for index, (packed, used, ok) in _run_chunks(chunks, workers):
         nodes += used
         complete = complete and ok
+        add = adds[index]
         for start in range(0, len(packed), n * n):
             keys = (packed[i : i + n] for i in range(start, start + n * n, n))
             mul = tuple(rows.setdefault(k, tuple(k)) for k in keys)
             algebra = FiniteAlgebra(n, add, mul)
             algebra._report = _PASSED  # checked in the worker
-            algebras.append(algebra)
+            built[index].append(algebra)
+    algebras = [a for part in built for a in part]
     return EnumerationReport(
         order=n,
         class_name="all",
@@ -360,20 +377,34 @@ def enumerate_ai_semirings(
 
 
 def _run_chunks(chunks, workers: int):
-    """Map the chunk worker over all chunks, merging in chunk order.
+    """Yield (chunk index, chunk worker output) once for every chunk, the
+    chunks whose first value v has the largest down-set first.
 
-    The merge order is fixed by the chunk list, so output does not
-    depend on the worker count or scheduling.
+    Multiplication is monotone and label 0 is the top of a canonical
+    reduct, so every product lies below 0 * 0 = v: the larger the
+    down-set of v, the larger the chunk's search, and dispatching the
+    largest chunks first keeps the pool's tail short. Outputs arrive in
+    that order; the caller places them by index, so the merged stream
+    does not depend on the worker count or scheduling. The pool is
+    started before any chunk runs, so if it cannot start, the serial
+    path runs each chunk once.
     """
+    below = [sum(f[x * n + v] == v for x in range(n)) for f, n, _, v, _ in chunks]
+    order = sorted(range(len(chunks)), key=lambda i: -below[i])
+    pool = None
     if workers > 1 and len(chunks) > 1:
         try:
             import multiprocessing as mp
 
-            with mp.get_context("fork").Pool(workers) as pool:
-                return list(pool.map(_chunk_worker, chunks, chunksize=1))
+            pool = mp.get_context("fork").Pool(workers)
         except (ImportError, OSError):
             pass
-    return [_chunk_worker(c) for c in chunks]
+    if pool is None:
+        for i in order:
+            yield i, _chunk_worker(chunks[i])
+        return
+    with pool:
+        yield from zip(order, pool.imap(_chunk_worker, [chunks[i] for i in order]))
 
 
 # ---------------------------------------------------------------------------

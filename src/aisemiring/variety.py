@@ -573,6 +573,8 @@ def build_lattice(
     # The semantic join is V(generators of both). If it is listed at all
     # it must be the least listed upper bound, so that single candidate
     # is checked for equality; anything else means the join escapes.
+    # The join lies in the least upper bound by leq, so only the reverse
+    # inclusion is asked.
     join_table = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
@@ -588,7 +590,9 @@ def build_lattice(
                 f"{specs[i].label}+{specs[j].label}",
                 specs[i].generators + specs[j].generators,
             )
-            if least is None or compare(merged, specs[least], cell_limit) != EQUAL:
+            if least is None or not all(
+                member(g, merged, cell_limit).member for g in specs[least].generators
+            ):
                 raise LatticeIncompleteError(
                     f"join of {specs[i].label!r} and {specs[j].label!r} "
                     "is not among the listed specs"

@@ -318,6 +318,29 @@ def test_figure1_dual_passes(capsys):
     assert "PASS atoms are exactly V(R2), V(N2), V(T2) (V(N2), V(R2), V(T2))" in lines
 
 
+def test_figure1_top_claims_read_the_top_by_its_label():
+    """The top is R by label, so a lattice whose leq denies V(S58) <= R
+    makes that claim fail rather than moving the top elsewhere."""
+    from dataclasses import replace
+
+    from aisemiring.variety import build_lattice, standard_subvariety_specs
+
+    lat = build_lattice(standard_subvariety_specs())
+    labels = lat.labels()
+    s58, top = labels.index("V(S58)"), labels.index("R")
+    leq = [list(row) for row in lat.leq]
+    leq[s58][top] = False
+    claims = cli._figure1_claims(
+        replace(lat, leq=tuple(map(tuple, leq))),
+        cli.FIGURE1_EDGES,
+        cli.FIGURE1_ATOMS,
+        False,
+    )
+    verdicts = {name: ok for name, ok, _ in claims}
+    assert verdicts["S58 is in the top variety"] is False
+    assert verdicts["N2 is in the top variety"] is True
+
+
 def test_figure1_dot(tmp_path, capsys):
     dot_path = tmp_path / "fig.dot"
     code, out, _ = run(capsys, "figure1", "--dot-out", str(dot_path))

@@ -337,9 +337,66 @@ def test_restricted_union_order_2_is_the_four_named_algebras():
 
 
 def test_streams_deterministic_across_workers():
-    base = enumerate_ai_semirings(3, workers=1)
-    multi = enumerate_ai_semirings(3, workers=3)
-    assert [(a.add, a.mul) for a in base.items] == [(a.add, a.mul) for a in multi.items]
+    # the pool delivers the chunks largest first; the merge by chunk
+    # index gives the same items and node counts at every worker count
+    for n in (3, 4):
+        base = enumerate_ai_semirings(n, workers=1)
+        for workers in (2, 3):
+            multi = enumerate_ai_semirings(n, workers=workers)
+            assert [(a.add, a.mul) for a in multi.items] == [
+                (a.add, a.mul) for a in base.items
+            ], (n, workers)
+            assert (multi.nodes, multi.complete) == (base.nodes, base.complete)
+
+
+def search_chunks(n):
+    """The (reduct, first value) chunks of order n, in chunk order."""
+    identity = tuple(range(n))
+    chunks = []
+    for add in canonical_semilattices(n):
+        add_flat = tuple(x for row in add for x in row)
+        auts = tuple(p for p in automorphisms((add,), n) if p != identity)
+        chunks += [(add_flat, n, auts, v, None) for v in range(n)]
+    return chunks
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_chunks_yields_every_chunk_once_largest_down_sets_first(workers):
+    chunks = search_chunks(4)
+
+    def down_set(chunk):
+        add_flat, n, _auts, v, _budget = chunk
+        return sum(add_flat[x * n + v] == v for x in range(n))
+
+    yielded = list(enumeration._run_chunks(chunks, workers))
+    order = [i for i, _ in yielded]
+    assert order == sorted(range(len(chunks)), key=lambda i: (-down_set(chunks[i]), i))
+    assert down_set(chunks[order[0]]) == 4  # v = 0, the top
+    for i, output in yielded:
+        assert output == enumeration._chunk_worker(chunks[i])
+
+
+def test_serial_fallback_runs_every_chunk_once_when_the_pool_cannot_start(monkeypatch):
+    import multiprocessing as mp
+
+    def no_pool(*args, **kwargs):
+        raise OSError("no pool here")
+
+    base = enumerate_ai_semirings(4, workers=1)
+    worker = enumeration._chunk_worker
+    ran = []
+
+    def counted(chunk):
+        ran.append((chunk[0], chunk[3]))
+        return worker(chunk)
+
+    monkeypatch.setattr(mp.get_context("fork"), "Pool", no_pool)
+    monkeypatch.setattr(enumeration, "_chunk_worker", counted)
+    report = enumerate_ai_semirings(4, workers=2)
+    # each (reduct, first value) exactly once
+    assert sorted(ran) == sorted((c[0], c[3]) for c in search_chunks(4))
+    assert [(a.add, a.mul) for a in report.items] == [(a.add, a.mul) for a in base.items]
+    assert report.nodes == base.nodes
 
 
 def test_emitted_algebras_share_their_tables():
@@ -485,6 +542,27 @@ def reference_mul_search(add_flat, n, auts, first_value, node_budget):
 
     completed = dfs(0)
     return results, nodes, completed
+
+
+def permutation_filter(tables, n):
+    """The automorphisms of `tables` by trying every permutation."""
+    rng = range(n)
+    return [
+        p
+        for p in itertools.permutations(rng)
+        if all(p[t[x][y]] == t[p[x]][p[y]] for t in tables for x in rng for y in rng)
+    ]
+
+
+def test_automorphisms_match_a_filter_over_all_permutations():
+    # the backtrack keeps itertools.permutations' lexicographic order, so
+    # the lists must agree element by element
+    for n in range(1, 7):
+        for add in canonical_semilattices(n):
+            assert automorphisms((add,), n) == permutation_filter((add,), n), add
+    for a in enumerate_ai_semirings(3).items:
+        tables = (a.add, a.mul)
+        assert automorphisms(tables, 3) == permutation_filter(tables, 3), tables
 
 
 def search_inputs(n, reverse=False):

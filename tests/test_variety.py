@@ -424,6 +424,28 @@ def test_standard_order_comes_from_the_closed_form(monkeypatch):
     assert len(calls) == len(set(calls)) == 56
 
 
+def test_build_lattice_asks_each_join_only_the_reverse_inclusion(monkeypatch):
+    """A join check asks only whether each generator of the least upper
+    bound lies in the merged spec: the other inclusion follows from leq,
+    so no (generator, spec) question of _leq is asked again."""
+    calls = []
+    ask = variety.member
+
+    def counted(a, s, *args):
+        calls.append((a, s.label))
+        return ask(a, s, *args)
+
+    monkeypatch.setattr(variety, "member", counted)
+    lat = build_lattice(standard_subvariety_specs())
+    # _leq's 56 distinct questions, then one per generator of the least
+    # upper bound for each of the 13 incomparable pairs: 28 in all
+    assert len(calls) == 84
+    leq_calls, join_calls = calls[:56], calls[56:]
+    assert len(set(leq_calls)) == 56
+    assert all("+" in label for _, label in join_calls)
+    assert lat.labels()[lat.join_table[1][2]] == "V(L2,N2)"
+
+
 def _closure_verdict(v1, v2):
     """compare's verdict from member's closure alone."""
     left_in_right = all(closure_member(x, v2) for x in v1.generators)
