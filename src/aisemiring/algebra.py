@@ -68,6 +68,9 @@ class AxiomReport:
         return [law for law in LAWS if not getattr(self, law)]
 
 
+_PASSED = AxiomReport(**dict.fromkeys(LAWS, True))
+
+
 def _is_frozen(rows, n: int) -> bool:
     """Whether `rows` is already a Table: n tuples of n exact ints in 0..n-1.
 
@@ -93,18 +96,21 @@ def _freeze_table(rows: Iterable[Sequence[int]], n: int, which: str) -> Table:
     """
     if _is_frozen(rows, n):
         return rows
-    out = []
-    for row in rows:
-        row = tuple(int(x) for x in row)
-        if len(row) != n:
-            raise TableFormatError(f"{which} row has length {len(row)}, expected {n}")
-        for x in row:
-            if not 0 <= x < n:
-                raise TableFormatError(f"{which} entry {x} out of range 0..{n - 1}")
-        out.append(row)
+    out = tuple(_freeze_row(row, n, which) for row in rows)
     if len(out) != n:
         raise TableFormatError(f"{which} has {len(out)} rows, expected {n}")
-    return tuple(out)
+    return out
+
+
+def _freeze_row(row: Iterable[int], n: int, which: str) -> tuple[int, ...]:
+    """`row` as a tuple of n ints in 0..n-1, or TableFormatError."""
+    row = tuple(int(x) for x in row)
+    if len(row) != n:
+        raise TableFormatError(f"{which} row has length {len(row)}, expected {n}")
+    for x in row:
+        if not 0 <= x < n:
+            raise TableFormatError(f"{which} entry {x} out of range 0..{n - 1}")
+    return row
 
 
 class FiniteAlgebra:
@@ -168,24 +174,34 @@ def verify_tables(n: int, add: Table, mul: Table) -> AxiomReport:
     """Exhaustively check the six defining laws on two n x n tables.
 
     Witnesses record the first failing tuple in row-major scan order,
-    keyed by law name.
+    keyed by law name. The scan is `_law_witnesses`, which the
+    enumerations run on the product laws alone after a reduct's first
+    table; every passing check returns the one shared report.
     """
-    flags = dict.fromkeys(LAWS, True)
-    witnesses: dict[str, tuple[int, ...]] = {}
+    return _report(_law_witnesses(n, add, mul, True))
 
-    def fail(law: str, witness: tuple[int, ...]):
-        if flags[law]:
-            flags[law] = False
-            witnesses[law] = witness
 
+def _report(witnesses: dict[str, tuple[int, ...]]) -> AxiomReport:
+    """The report failing the laws keyed in `witnesses`; `_PASSED` if none."""
+    if not witnesses:
+        return _PASSED
+    return AxiomReport(witnesses=witnesses, **{law: law not in witnesses for law in LAWS})
+
+
+def _law_witnesses(n: int, add: Table, mul: Table, additive: bool) -> dict[str, tuple[int, ...]]:
+    """The first failing tuple of each law the tables break, in one scan
+    of the triples: the three product laws (associativity of the
+    product, left and right distributivity), and with `additive` the
+    three laws of `add` alone."""
     rng = range(n)
-    for x in rng:
-        if add[x][x] != x:
-            fail("idempotent_add", (x,))
-    for x in rng:
-        for y in rng:
-            if add[x][y] != add[y][x]:
-                fail("commutative_add", (x, y))
+    out: dict[str, tuple[int, ...]] = {}
+    if additive:
+        for x in rng:
+            if add[x][x] != x:
+                out.setdefault("idempotent_add", (x,))
+            for y in rng:
+                if add[x][y] != add[y][x]:
+                    out.setdefault("commutative_add", (x, y))
     for x in rng:
         add_x, mul_x = add[x], mul[x]
         for y in rng:
@@ -194,15 +210,23 @@ def verify_tables(n: int, add: Table, mul: Table) -> AxiomReport:
             add_xy, mul_xy = add[add_x[y]], mul[mul_x[y]]
             mul_sum, add_prod = mul[add_x[y]], add[mul_x[y]]
             for z in rng:
-                if add_xy[z] != add_x[add_y[z]]:
-                    fail("associative_add", (x, y, z))
+                if additive and add_xy[z] != add_x[add_y[z]]:
+                    out.setdefault("associative_add", (x, y, z))
                 if mul_xy[z] != mul_x[mul_y[z]]:
-                    fail("associative_mul", (x, y, z))
+                    out.setdefault("associative_mul", (x, y, z))
                 if mul_x[add_y[z]] != add_prod[mul_x[z]]:
-                    fail("left_distributive", (x, y, z))
+                    out.setdefault("left_distributive", (x, y, z))
                 if mul_sum[z] != add[mul_x[z]][mul_y[z]]:
-                    fail("right_distributive", (x, y, z))
-    return AxiomReport(witnesses=witnesses, **flags)
+                    out.setdefault("right_distributive", (x, y, z))
+    return out
+
+
+def _checked_algebra(n: int, add: Table, mul: Table) -> FiniteAlgebra:
+    """An algebra on tables the caller has frozen and found to satisfy the
+    six laws, built without scanning them again."""
+    a = object.__new__(FiniteAlgebra)
+    a.order, a.add, a.mul, a.name, a._report = n, add, mul, None, _PASSED
+    return a
 
 
 def direct_product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:

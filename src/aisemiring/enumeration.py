@@ -31,17 +31,18 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .algebra import (
-    LAWS,
     AxiomError,
-    AxiomReport,
     FiniteAlgebra,
     Table,
+    _checked_algebra,
+    _freeze_row,
     _inverse,
+    _law_witnesses,
+    _report,
     automorphisms,
     canonical_tables,
     dual,
     relabel,
-    verify_tables,
 )
 
 MAX_SEMILATTICE_ORDER = 6
@@ -151,20 +152,38 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
     the subtree and a larger one settles p, so exactly the tables least
     in their orbits complete. Returns (tables, nodes, completed).
 
-    `consistent` runs its checks in the order that rejects soonest: at
-    order 5, associativity with the new cell as xy, then as yz, then
-    left and right distributivity reject almost all of the nodes that
-    fail; the `holding` loops reject few and the `sums` loops none.
-    Cells are filled row-major, so the rows past a and the cells past b
-    in row a are empty: the loops skip them through the prefixes `above`
-    and `lead`, and read the known cells before them without a -1 test.
+    The distributivity instances a(b + z) = ab + az, z < b, and
+    (a + y)b = ab + yb, y < a, pin the new value v to v + c = d with c
+    and d known, or to v + c = v where the sum cell is (a, b) itself
+    (the instances z = b and y = a hold since v + v = v, and those whose
+    sum cell comes later are open). So each cell ANDs their bitmasks of
+    solutions once, before any value is tried (forward checking), and a
+    value whose bit is clear fails them exactly as it would fail the
+    same checks made value by value. Every value is still counted as a
+    node, and checked against `node_budget`, before its bit is read, so
+    node counts and budget cut points do not depend on the masks.
+
+    `consistent` runs the other checks on values whose bit is set, in
+    the order that rejects soonest: at order 5, associativity with the
+    new cell as xy, then as yz, reject almost all of them; the `holding`
+    loops reject few and the `sums` loops none. Cells are filled
+    row-major, so the rows past a and the cells past b in row a are
+    empty: the yz loop skips them through the prefixes `above`, and the
+    mask loops read only known cells and the empty cell (a, b).
     """
     rng = range(n)
     rows = [[-1] * n for _ in rng]
     flat = [-1] * (n * n)  # the same cells, row-major
     adds = [add_flat[x * n : x * n + n] for x in rng]
     above = [rows[:k] for k in range(n + 1)]  # the rows before row k
-    lead = [row[:k] for k, row in enumerate(adds)]  # x + y for y < x
+    # sol[c][d]: the values v with v + c = d, as a bitmask; sol[c][-1],
+    # read through the cell being filled, those with v + c = v
+    sol = [[sum(1 << v for v in rng if adds[v][c] == d) for d in rng]
+           + [sum(1 << v for v in rng if adds[v][c] == v)] for c in rng]
+    # the instances a(b + z), z < b, and (a + y)b, y < a, whose sum cell is
+    # (a, b) or filled before it, as (z, b + z) and (row y, row a + y)
+    left_dist = [[(z, s) for z in range(b) if (s := adds[b][z]) <= b] for b in rng]
+    right_dist = [[(rows[y], rows[s]) for y in range(a) if (s := adds[a][y]) <= a] for a in rng]
     results: list[tuple[int, ...]] = []
     nodes = 0
     # sums[c]: the pairs y < z, both other than c, with y + z = c; an
@@ -199,7 +218,6 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
 
     def consistent(a: int, b: int, v: int) -> bool:
         arow = rows[a]
-        vsum = adds[v]
         # associativity with the new cell as xy: (ab)z = a(bz); rows b
         # and v are empty unless both are at most a
         if b <= a and v <= a:
@@ -217,18 +235,6 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
                     right = xrow[v]
                     if right != -1 and left != right:
                         return False
-        # left distributivity a(b + z) = ab + az, z < b (z = b holds
-        # since v + v = v, and the cells past b in row a are empty)
-        for az, bz in zip(arow, lead[b]):
-            abz = arow[bz]
-            if abz != -1 and abz != vsum[az]:
-                return False
-        # right distributivity (a + y)b = ab + yb, y < a (y = a holds
-        # since v + v = v)
-        for yrow, ay in zip(above[a], adds[a]):
-            ayb = rows[ay][b]
-            if ayb != -1 and ayb != vsum[yrow[b]]:
-                return False
         # associativity with the new cell as the outer product of (xy)z
         # and of x(yz)
         for xrow, _x, y in holding[a]:
@@ -285,10 +291,19 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
         else:
             v = forced(a, b)
             values = rng if v is None else (v,)
+        # the values that pass the distributivity instances; cell (a, b)
+        # is still empty, so a sum cell equal to it reads sol[c][-1]
+        mask = -1
+        for z, s in left_dist[b]:
+            mask &= sol[arow[z]][arow[s]]
+        for yrow, srow in right_dist[a]:
+            mask &= sol[yrow[b]][srow[b]]
         for v in values:
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 return False
+            if not mask >> v & 1:
+                continue
             arow[b] = flat[pos] = v
             held = holding[v]
             held.append(cell)
@@ -304,25 +319,30 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
     return results, nodes, completed
 
 
-_PASSED = AxiomReport(**dict.fromkeys(LAWS, True))
+def _check_laws(n: int, add: Table, mul: Table, additive: bool):
+    """Raise AxiomError unless the tables satisfy the product laws and,
+    with `additive`, the additive laws of `add` (see `_law_witnesses`)."""
+    if witnesses := _law_witnesses(n, add, mul, additive):
+        raise AxiomError(_report(witnesses), None)
 
 
 def _chunk_worker(args):
     """One chunk's search, its tables packed into one bytes object.
 
-    Each table found is checked against the six laws here, in the
-    worker; a failure raises AxiomError, which the pool re-raises in the
-    parent. Entries are below MAX_GENERAL_ORDER = 5 < 256, so each fits
-    a byte; the flat n x n tables are concatenated in result order.
+    Each table found is checked here, in the worker, and a failure
+    raises AxiomError, which the pool re-raises in the parent: the three
+    product laws on every table, and the three additive laws of the
+    chunk's one reduct once, with its first table, so every table is
+    checked on all six. Entries are below MAX_GENERAL_ORDER = 5 < 256, so
+    each fits a byte; the flat n x n tables are concatenated in result
+    order.
     """
     add_flat, n, auts, first_value, node_budget = args
     muls, nodes, completed = _mul_search(add_flat, n, auts, first_value, node_budget)
     cuts = range(0, n * n, n)
     add = tuple(add_flat[i : i + n] for i in cuts)
-    for mul in muls:
-        report = verify_tables(n, add, tuple(mul[i : i + n] for i in cuts))
-        if not report.ok:
-            raise AxiomError(report, None)
+    for k, mul in enumerate(muls):
+        _check_laws(n, add, tuple(mul[i : i + n] for i in cuts), k == 0)
     return b"".join(map(bytes, muls)), nodes, completed
 
 
@@ -353,17 +373,15 @@ def enumerate_ai_semirings(
     built: list[list[FiniteAlgebra]] = [[] for _ in chunks]
     nodes = 0
     complete = True
-    rows: dict[bytes, tuple[int, ...]] = {}  # interned mul rows
+    rows: dict[bytes, tuple[int, ...]] = {}  # interned mul rows, shapes checked once
     for index, (packed, used, ok) in _run_chunks(chunks, workers):
         nodes += used
         complete = complete and ok
         add = adds[index]
         for start in range(0, len(packed), n * n):
             keys = (packed[i : i + n] for i in range(start, start + n * n, n))
-            mul = tuple(rows.setdefault(k, tuple(k)) for k in keys)
-            algebra = FiniteAlgebra(n, add, mul)
-            algebra._report = _PASSED  # checked in the worker
-            built[index].append(algebra)
+            mul = tuple(rows.get(k) or rows.setdefault(k, _freeze_row(k, n, "mul")) for k in keys)
+            built[index].append(_checked_algebra(n, add, mul))
     algebras = [a for part in built for a in part]
     return EnumerationReport(
         order=n,
@@ -461,12 +479,6 @@ def _orbit_minimal_endos(add: Table) -> list[tuple[int, ...]]:
     return keep
 
 
-def _row_constant_algebra(add: Table, f: tuple[int, ...], rows: Table) -> FiniteAlgebra:
-    """x*y = f(x), built from rows[v] = (v,) * n, one shared row per value."""
-    mul = tuple(rows[v] for v in f)
-    return FiniteAlgebra(len(add), add, mul).validate()
-
-
 def enumerate_row_constant(n: int) -> EnumerationReport:
     """All ai-semirings with constant multiplication rows, up to
     isomorphism, via (reduct, endomorphism) pairs."""
@@ -474,12 +486,15 @@ def enumerate_row_constant(n: int) -> EnumerationReport:
     started = time.perf_counter()
     algebras = []
     nodes = 0
-    rows = tuple((v,) * n for v in range(n))
+    rows = tuple((v,) * n for v in range(n))  # one shared row per value
     for add in canonical_semilattices(n):
         endos = _orbit_minimal_endos(add)
         nodes += len(_idempotent_additive_endos(add))
-        for f in sorted(endos):
-            algebras.append(_row_constant_algebra(add, f, rows))
+        # x*y = f(x); the laws are checked as in `_chunk_worker`
+        for k, f in enumerate(sorted(endos)):
+            mul = tuple(rows[v] for v in f)
+            _check_laws(n, add, mul, k == 0)
+            algebras.append(_checked_algebra(n, add, mul))
     return EnumerationReport(
         order=n,
         class_name="row-constant",

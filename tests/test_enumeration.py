@@ -9,13 +9,17 @@ from aisemiring import algebra, catalog, enumeration
 from aisemiring.algebra import (
     AxiomError,
     FiniteAlgebra,
+    TableFormatError,
     _flatten,
     _inverse,
+    _law_witnesses,
+    _report,
     automorphisms,
     canonical_form,
     canonical_tables,
     dual,
     relabel,
+    verify_tables,
 )
 from aisemiring.enumeration import (
     _filter_extensions,
@@ -637,6 +641,79 @@ def test_the_parent_checks_no_law_again(monkeypatch):
     for workers in (1, 2):
         items = enumerate_ai_semirings(3, workers=workers).items
         assert all(a.is_validated and a.validate() is a for a in items)
+
+
+# two-element reducts that break one additive law each: x + y = y is not
+# commutative, and x + y = 1 is not idempotent at 0
+BROKEN_REDUCTS = [
+    (((0, 1), (0, 1)), "commutative_add", (0, 1)),
+    (((1, 1), (1, 1)), "idempotent_add", (0,)),
+]
+
+
+@pytest.mark.parametrize("add, law, witness", BROKEN_REDUCTS)
+def test_chunk_workers_check_the_reduct(monkeypatch, add, law, witness):
+    # the workers check the reduct's additive laws once per chunk, with
+    # its first table, so a broken reduct still fails every table on it
+    monkeypatch.setattr(enumeration, "canonical_semilattices", lambda n: (add,))
+    for workers in (1, 2):
+        with pytest.raises(AxiomError, match=law) as caught:
+            enumerate_ai_semirings(2, workers=workers)
+        assert caught.value.report.witnesses[law] == witness
+
+
+@pytest.mark.parametrize("add, law, witness", BROKEN_REDUCTS)
+def test_row_constant_stream_checks_the_reduct(monkeypatch, add, law, witness):
+    monkeypatch.setattr(enumeration, "canonical_semilattices", lambda n: (add,))
+    with pytest.raises(AxiomError, match=law) as caught:
+        enumerate_row_constant(2)
+    assert caught.value.report.witnesses[law] == witness
+
+
+def test_parent_checks_the_shape_of_each_interned_row(monkeypatch):
+    worker = enumeration._chunk_worker
+
+    def out_of_range(chunk):
+        packed, nodes, completed = worker(chunk)
+        return packed[:-1] + bytes([9]) if packed else packed, nodes, completed
+
+    monkeypatch.setattr(enumeration, "_chunk_worker", out_of_range)
+    with pytest.raises(TableFormatError, match=r"mul entry 9 out of range 0\.\.2"):
+        enumerate_ai_semirings(3, workers=1)
+
+
+def test_product_scan_witnesses_match_verify_tables_on_single_cell_corruptions():
+    # the workers check every table after a chunk's first on the product
+    # laws alone; on a valid reduct that scan must report exactly what
+    # the full check does
+    for a in enumerate_ai_semirings(4).items:
+        mul = [list(row) for row in a.mul]
+        for r, c, v in itertools.product(range(4), repeat=3):
+            if a.mul[r][c] == v:
+                continue
+            mul[r][c] = v
+            bad = tuple(map(tuple, mul))
+            mul[r][c] = a.mul[r][c]
+            want = verify_tables(4, a.add, bad)
+            assert _report(_law_witnesses(4, a.add, bad, False)) == want, (a.add, bad)
+
+
+@pytest.mark.parametrize("n, labelled", [(2, 6), (3, 74), (4, 1246)])
+def test_orbit_stabiliser_mass_matches_the_labelled_tables(n, labelled):
+    # a class (S, m) stands for |Aut S| / |Aut(S, m)| labelled tables on
+    # the reduct S; the reference search without automorphisms finds
+    # every labelled table on S, by its own checks
+    items = enumerate_ai_semirings(n).items
+    total = 0
+    for add in canonical_semilattices(n):
+        group = len(automorphisms((add,), n))
+        mass = sum(
+            group // len(automorphisms((a.add, a.mul), n)) for a in items if a.add == add
+        )
+        add_flat = tuple(x for row in add for x in row)
+        assert mass == len(reference_mul_search(add_flat, n, (), None, None)[0]), add
+        total += mass
+    assert total == labelled
 
 
 def idempotent_maps(n):
