@@ -7,12 +7,12 @@ Three pipelines:
   minimal element below an order filter, so candidates are generated
   that way and deduplicated by canonical form;
 * all ai-semirings of a given order: for each canonical reduct,
-  backtracking over multiplication cells with incremental
-  associativity/distributivity checks, forced cells and lex-leader
-  pruning, so only tables minimal under the reduct's automorphism
-  group complete; the (reduct, first value) chunks go to the workers
-  largest first, each worker checks its tables against the six laws,
-  and the parent builds each chunk's algebras as they arrive;
+  backtracking over multiplication cells with distributivity
+  bitmasks, incremental associativity checks, forced cells and
+  lex-leader pruning, so only tables minimal under the reduct's
+  automorphism group complete; the (reduct, first value) chunks go to
+  the workers largest first, each worker checks its tables against the
+  six laws, and the parent builds each chunk's algebras as they arrive;
 * the row-constant class: multiplication x*y = f(x) with f an
   idempotent additive endomorphism of the reduct, enumerated as (reduct,
   f) pairs up to reduct automorphism. The column-constant class (the
@@ -138,38 +138,45 @@ def _reduct_automorphisms(add: Table) -> tuple[tuple[int, ...], ...]:
 
 
 def _mul_search(add_flat, n, auts, first_value, node_budget):
-    """Backtrack over multiplication cells in row-major order.
+    """Backtrack over multiplication cells in row-major order, cell
+    (0, 0) fixed to `first_value`.
 
     Invariant: an associativity or distributivity instance is checked
     when the last of its cells is assigned; every other instance is
     still open or was checked at an ancestor, so a completed table
-    satisfies all of them. A cell fixed by an instance whose other cells
-    are known (x(yb) with xy = a, (x + y)b with x + y = a, (ay)z with
-    yz = b, ay + az with y + z = b) tries only that value, still through
-    the check, as one node. Lex-leader: per automorphism p in `auts`,
-    the first cell where the table and its image under p are not yet
-    compared advances over the known cells; a smaller image there cuts
-    the subtree and a larger one settles p, so exactly the tables least
-    in their orbits complete. Returns (tables, nodes, completed).
+    satisfies all of them. Each law has one owner:
 
-    The distributivity instances a(b + z) = ab + az, z < b, and
-    (a + y)b = ab + yb, y < a, pin the new value v to v + c = d with c
-    and d known, or to v + c = v where the sum cell is (a, b) itself
-    (the instances z = b and y = a hold since v + v = v, and those whose
-    sum cell comes later are open). So each cell ANDs their bitmasks of
-    solutions once, before any value is tried (forward checking), and a
-    value whose bit is clear fails them exactly as it would fail the
-    same checks made value by value. Every value is still counted as a
-    node, and checked against `node_budget`, before its bit is read, so
-    node counts and budget cut points do not depend on the masks.
+    * distributivity, `dist[pos]`: every instance whose other two cells
+      are known when cell pos = (a, b) is filled pins its value to a
+      bitmask. With (a, b) a product, a(b + z) = ab + az, z < b, and
+      (a + y)b = ab + yb, y < a, pin v to v + c = d, read through
+      `sol[c][d]`, or to v + c = v where the sum cell is (a, b) itself,
+      read through `sol[c][-1]` (z = b and y = a hold since v + v = v,
+      and the instances whose sum cell comes later are open). With
+      (a, b) the sum, a(y + z) = ay + az, y < z < b, y + z = b, and
+      (x + y)b = xb + yb, x < y < a, x + y = a, pin v to one value,
+      read through `one`. The cell ANDs these masks once, before any
+      value is tried (forward checking);
+    * associativity, `consistent`: with the new cell as xy, as yz, and
+      as the outer product of (xy)z and of x(yz), in the order that
+      rejects soonest (at order 5 the xy and yz loops reject almost
+      all). A cell fixed by an associativity instance whose other cells
+      are known (x(yb) with xy = a, (ay)z with yz = b) tries only that
+      value, through `forced`, still through the checks, as one node.
 
-    `consistent` runs the other checks on values whose bit is set, in
-    the order that rejects soonest: at order 5, associativity with the
-    new cell as xy, then as yz, reject almost all of them; the `holding`
-    loops reject few and the `sums` loops none. Cells are filled
+    Every value is counted as a node, and checked against `node_budget`,
+    before its bit is read, so node counts and budget cut points do not
+    depend on the masks. On a canonical reduct the sum-cell lists are
+    empty: y + z = b with y, z other than b puts b above y and z, and
+    the top-down labelling numbers b before both. Cells are filled
     row-major, so the rows past a and the cells past b in row a are
-    empty: the yz loop skips them through the prefixes `above`, and the
-    mask loops read only known cells and the empty cell (a, b).
+    empty: the yz loop skips them through the prefixes `above`.
+
+    Lex-leader: per automorphism p in `auts`, the first cell where the
+    table and its image under p are not yet compared advances over the
+    known cells; a smaller image there cuts the subtree and a larger
+    one settles p, so exactly the tables least in their orbits
+    complete. Returns (tables, nodes, completed).
     """
     rng = range(n)
     rows = [[-1] * n for _ in rng]
@@ -180,20 +187,19 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
     # read through the cell being filled, those with v + c = v
     sol = [[sum(1 << v for v in rng if adds[v][c] == d) for d in rng]
            + [sum(1 << v for v in rng if adds[v][c] == v)] for c in rng]
-    # the instances a(b + z), z < b, and (a + y)b, y < a, whose sum cell is
-    # (a, b) or filled before it, as (z, b + z) and (row y, row a + y)
-    left_dist = [[(z, s) for z in range(b) if (s := adds[b][z]) <= b] for b in rng]
-    right_dist = [[(rows[y], rows[s]) for y in range(a) if (s := adds[a][y]) <= a] for a in rng]
+    one = [[1 << adds[c][d] for d in rng] for c in rng]  # the value c + d, as a bitmask
+    # dist[a * n + b]: (masks, i, j) with the value of (a, b) in
+    # masks[flat[i]][flat[j]], for the instances listed in the docstring
+    dist = [
+        [(sol, a * n + z, a * n + s) for z in range(b) if (s := adds[b][z]) <= b]
+        + [(sol, y * n + b, s * n + b) for y in range(a) if (s := adds[a][y]) <= a]
+        + [(one, a * n + y, a * n + z) for z in range(b) for y in range(z) if adds[y][z] == b]
+        + [(one, x * n + b, y * n + b) for y in range(a) for x in range(y) if adds[x][y] == a]
+        for a in rng
+        for b in rng
+    ]
     results: list[tuple[int, ...]] = []
     nodes = 0
-    # sums[c]: the pairs y < z, both other than c, with y + z = c; an
-    # instance a(y + z) with y or z equal to c is one of a(c + z)
-    sums = [[] for _ in rng]
-    for y in rng:
-        for z in range(y + 1, n):
-            c = adds[y][z]
-            if c != y and c != z:
-                sums[c].append((y, z))
     # holding[v]: the assigned cells (x, y) with xy = v, as (row x, x, y)
     holding: list[list[tuple[list[int], int, int]]] = [[] for _ in rng]
     # (p, the cell that p carries to each cell, first cell not compared)
@@ -205,15 +211,9 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
         for xrow, _x, y in holding[a]:
             if (yb := rows[y][b]) != -1 and (v := xrow[yb]) != -1:
                 return v
-        for x, y in sums[a]:
-            if (xb := rows[x][b]) != -1 and (yb := rows[y][b]) != -1:
-                return adds[xb][yb]
         for _row, y, z in holding[b]:
             if (ay := arow[y]) != -1 and (v := rows[ay][z]) != -1:
                 return v
-        for y, z in sums[b]:
-            if (ay := arow[y]) != -1 and (az := arow[z]) != -1:
-                return adds[ay][az]
         return None
 
     def consistent(a: int, b: int, v: int) -> bool:
@@ -249,20 +249,6 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
                 left = rows[ay][z]
                 if left != -1 and left != v:
                     return False
-        # distributivity a(y + z) = ay + az with y + z = b, and
-        # (x + y)b = xb + yb with x + y = a
-        for y, z in sums[b]:
-            ay = arow[y]
-            if ay != -1:
-                az = arow[z]
-                if az != -1 and v != adds[ay][az]:
-                    return False
-        for x, y in sums[a]:
-            xb = rows[x][b]
-            if xb != -1:
-                yb = rows[y][b]
-                if yb != -1 and v != adds[xb][yb]:
-                    return False
         return True
 
     def advance(pos: int, active):
@@ -286,18 +272,16 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
         a, b = divmod(pos, n)
         arow = rows[a]
         cell = (arow, a, b)
-        if pos == 0 and first_value is not None:
+        if pos == 0:
             values = (first_value,)
         else:
             v = forced(a, b)
             values = rng if v is None else (v,)
-        # the values that pass the distributivity instances; cell (a, b)
-        # is still empty, so a sum cell equal to it reads sol[c][-1]
+        # cell (a, b) is still empty, so a sum cell equal to it reads
+        # sol[c][-1]
         mask = -1
-        for z, s in left_dist[b]:
-            mask &= sol[arow[z]][arow[s]]
-        for yrow, srow in right_dist[a]:
-            mask &= sol[yrow[b]][srow[b]]
+        for masks, i, j in dist[pos]:
+            mask &= masks[flat[i]][flat[j]]
         for v in values:
             nodes += 1
             if node_budget is not None and nodes > node_budget:
@@ -552,7 +536,6 @@ def enumerate_constant_mul(n: int) -> EnumerationReport:
 
 
 ENUMERATORS = {
-    "all": enumerate_ai_semirings,
     "row-constant": enumerate_row_constant,
     "column-constant": enumerate_column_constant,
     "both": enumerate_constant_mul,

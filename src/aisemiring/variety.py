@@ -105,7 +105,6 @@ class _Vectors:
             blocks.append((g, offset, count))
             width += count
             offset += g.order
-        self.alphabet = offset
         self.width = width
         self._packed = packed = offset <= 16
         add, mul = (bytearray(256), bytearray(256)) if packed else ({}, {})

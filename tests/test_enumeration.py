@@ -616,6 +616,24 @@ def test_mul_search_node_counts():
     assert [enumerate_ai_semirings(n).nodes for n in (2, 3, 4)] == [18, 473, 13380]
 
 
+def test_mul_search_counts_the_same_classes_on_reversed_order_5_reducts():
+    # on a reversed reduct a cell (a, y + z) is filled after (a, y) and
+    # (a, z), so the distributivity instances whose sum cell is the new
+    # cell are live; the reference comparison stops at order 4. A
+    # relabelling moves the tables between first values but keeps one
+    # per orbit on each reduct
+    def classes(add_flat, auts):
+        return sum(len(_mul_search(add_flat, 5, auts, v, None)[0]) for v in range(5))
+
+    total = 0
+    pairs = zip(search_inputs(5), search_inputs(5, reverse=True))
+    for canonical, relabelled in pairs:
+        want = classes(*canonical)
+        assert classes(*relabelled) == want, relabelled[0]
+        total += want
+    assert total == 15751
+
+
 def test_axiom_check_runs_in_the_chunk_workers(monkeypatch):
     # x*y = 1 + x on two elements is not associative: (0*0)*0 = 0, 0*(0*0) = 1
     search = enumeration._mul_search
