@@ -187,6 +187,11 @@ def cmd_enumerate(args) -> int:
             args.order, node_budget=args.node_budget, workers=args.workers
         )
     else:
+        if args.node_budget is not None:
+            print(
+                f"note: --node-budget applies only to --class all; --class {kind} ignores it",
+                file=sys.stderr,
+            )
         report = ENUMERATORS[kind](args.order)
     payload = {
         "order": report.order,

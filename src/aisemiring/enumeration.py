@@ -12,12 +12,17 @@ Three pipelines:
   lex-leader pruning, so only tables minimal under the reduct's
   automorphism group complete; the (reduct, first value) chunks go to
   the workers largest first, each worker checks its tables against the
-  six laws, and the parent builds each chunk's algebras as they arrive;
+  six laws (`_check_laws`: the scan `_law_witnesses` on the first
+  table, and a bytes-level test of the product laws, which reuses the
+  rows and columns it has proved, on the rest, so only the scan
+  reports witnesses), and the parent builds each chunk's algebras as
+  they arrive;
 * the row-constant class: multiplication x*y = f(x) with f an
   idempotent additive endomorphism of the reduct, enumerated as (reduct,
   f) pairs up to reduct automorphism. The column-constant class (the
   duals) and the constant class (f constant) are views of that one
-  stream, not enumerated again.
+  stream, not enumerated again. `_check_laws` checks the row-constant
+  tables too, one reduct at a time.
 
 The second and third pipelines are deliberately independent; for small
 orders each serves as the other's oracle. Emitted streams are sorted so
@@ -38,6 +43,7 @@ from .algebra import (
     _freeze_row,
     _inverse,
     _law_witnesses,
+    _product_law_checker,
     _report,
     automorphisms,
     canonical_tables,
@@ -303,31 +309,38 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
     return results, nodes, completed
 
 
-def _check_laws(n: int, add: Table, mul: Table, additive: bool):
-    """Raise AxiomError unless the tables satisfy the product laws and,
-    with `additive`, the additive laws of `add` (see `_law_witnesses`)."""
-    if witnesses := _law_witnesses(n, add, mul, additive):
-        raise AxiomError(_report(witnesses), None)
+def _check_laws(n: int, add: Table, packed: list[bytes]):
+    """Check each flat n x n table in `packed` on the six laws over the
+    one reduct `add`, raising AxiomError at the first that fails one.
+
+    The scan `_law_witnesses` checks the first table on all six laws,
+    so the reduct's three additive laws are checked once. Every later
+    table is decided by `_product_law_checker` on the three product
+    laws, and a table it rejects is scanned too, so the scan alone
+    reports witnesses, the first failing tuple of each law.
+    """
+    cuts = range(0, n * n, n)
+    check = _product_law_checker(n, add)
+    for k, mul in enumerate(packed):
+        if k == 0 or not check(mul):
+            if witnesses := _law_witnesses(n, add, [mul[i : i + n] for i in cuts], k == 0):
+                raise AxiomError(_report(witnesses), None)
 
 
 def _chunk_worker(args):
     """One chunk's search, its tables packed into one bytes object.
 
-    Each table found is checked here, in the worker, and a failure
-    raises AxiomError, which the pool re-raises in the parent: the three
-    product laws on every table, and the three additive laws of the
-    chunk's one reduct once, with its first table, so every table is
-    checked on all six. Entries are below MAX_GENERAL_ORDER = 5 < 256, so
-    each fits a byte; the flat n x n tables are concatenated in result
-    order.
+    Entries are below MAX_GENERAL_ORDER = 5 < 256, so each fits a byte;
+    the flat n x n tables are concatenated in result order. Each table
+    is checked on all six laws here, in the worker, by `_check_laws` on
+    the chunk's one reduct, and a failure raises AxiomError, which the
+    pool re-raises in the parent.
     """
     add_flat, n, auts, first_value, node_budget = args
     muls, nodes, completed = _mul_search(add_flat, n, auts, first_value, node_budget)
-    cuts = range(0, n * n, n)
-    add = tuple(add_flat[i : i + n] for i in cuts)
-    for k, mul in enumerate(muls):
-        _check_laws(n, add, tuple(mul[i : i + n] for i in cuts), k == 0)
-    return b"".join(map(bytes, muls)), nodes, completed
+    packed = list(map(bytes, muls))
+    _check_laws(n, tuple(add_flat[i : i + n] for i in range(0, n * n, n)), packed)
+    return b"".join(packed), nodes, completed
 
 
 def enumerate_ai_semirings(
@@ -472,13 +485,12 @@ def enumerate_row_constant(n: int) -> EnumerationReport:
     nodes = 0
     rows = tuple((v,) * n for v in range(n))  # one shared row per value
     for add in canonical_semilattices(n):
-        endos = _orbit_minimal_endos(add)
         nodes += len(_idempotent_additive_endos(add))
-        # x*y = f(x); the laws are checked as in `_chunk_worker`
-        for k, f in enumerate(sorted(endos)):
-            mul = tuple(rows[v] for v in f)
-            _check_laws(n, add, mul, k == 0)
-            algebras.append(_checked_algebra(n, add, mul))
+        # x*y = f(x), checked per reduct as the chunk workers check theirs
+        endos = sorted(_orbit_minimal_endos(add))
+        _check_laws(n, add, [bytes(v for v in f for _ in range(n)) for f in endos])
+        for f in endos:
+            algebras.append(_checked_algebra(n, add, tuple(rows[v] for v in f)))
     return EnumerationReport(
         order=n,
         class_name="row-constant",

@@ -375,6 +375,19 @@ def test_enumerate_budget_exhaustion_is_resource_status(capsys):
     assert "budget exhausted" in out
 
 
+@pytest.mark.parametrize("klass", ["row-constant", "column-constant", "both"])
+def test_structural_classes_note_the_ignored_node_budget(capsys, klass):
+    # stdout and the exit status are those of the run without the budget
+    argv = ("enumerate", "--order", "3", "--class", klass)
+    code, out, err = run(capsys, *argv)
+    assert err == ""
+    assert run(capsys, *argv, "--node-budget", "1") == (
+        code,
+        out,
+        f"note: --node-budget applies only to --class all; --class {klass} ignores it\n",
+    )
+
+
 def test_workers_below_one_is_usage_error(capsys):
     for bad in ("0", "-5"):
         with pytest.raises(SystemExit) as exc:

@@ -13,6 +13,7 @@ from aisemiring.algebra import (
     _flatten,
     _inverse,
     _law_witnesses,
+    _product_law_checker,
     _report,
     automorphisms,
     canonical_form,
@@ -701,9 +702,9 @@ def test_parent_checks_the_shape_of_each_interned_row(monkeypatch):
 
 
 def test_product_scan_witnesses_match_verify_tables_on_single_cell_corruptions():
-    # the workers check every table after a chunk's first on the product
-    # laws alone; on a valid reduct that scan must report exactly what
-    # the full check does
+    # the workers scan a table after a chunk's first, one the checker
+    # rejects, on the product laws alone; on a valid reduct that scan
+    # must report exactly what the full check does
     for a in enumerate_ai_semirings(4).items:
         mul = [list(row) for row in a.mul]
         for r, c, v in itertools.product(range(4), repeat=3):
@@ -714,6 +715,84 @@ def test_product_scan_witnesses_match_verify_tables_on_single_cell_corruptions()
             mul[r][c] = a.mul[r][c]
             want = verify_tables(4, a.add, bad)
             assert _report(_law_witnesses(4, a.add, bad, False)) == want, (a.add, bad)
+
+
+def as_bytes(mul):
+    return bytes(x for row in mul for x in row)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_product_checker_agrees_with_the_scan_on_single_cell_corruptions(n):
+    # one checker per reduct, as in the enumerations, so rows and columns
+    # proved on earlier tables are reused on later ones
+    checks = {add: _product_law_checker(n, add) for add in canonical_semilattices(n)}
+    for a in enumerate_ai_semirings(n).items:
+        check = checks[a.add]
+        assert check(as_bytes(a.mul))
+        mul = [list(row) for row in a.mul]
+        for r, c, v in itertools.product(range(n), repeat=3):
+            if a.mul[r][c] == v:
+                continue
+            mul[r][c] = v
+            bad = tuple(map(tuple, mul))
+            mul[r][c] = a.mul[r][c]
+            assert check(as_bytes(bad)) == (not _law_witnesses(n, a.add, bad, False)), bad
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_product_checker_accepts_the_row_constant_stream(n):
+    checks = {add: _product_law_checker(n, add) for add in canonical_semilattices(n)}
+    assert all(checks[a.add](as_bytes(a.mul)) for a in enumerate_row_constant(n).items)
+
+
+# the order-3 reduct whose top 0 is the join of 1 and 2, and a table on
+# it breaking each distributive law alone (the second is the transpose
+# of the first); a row-constant table x*y = f(x) on it with f idempotent
+# but not additive breaks right distributivity alone
+V3 = ((0, 0, 0), (0, 1, 0), (0, 0, 2))
+ONE_SIDED = [
+    (((0, 0, 0), (0, 1, 1), (0, 2, 2)), "left_distributive", (1, 1, 2)),
+    (((0, 0, 0), (0, 1, 2), (0, 1, 2)), "right_distributive", (1, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("mul, law, witness", ONE_SIDED)
+def test_chunk_workers_report_a_later_tables_one_sided_failure(monkeypatch, mul, law, witness):
+    # the bad table follows a chunk's first, so the checker decides it
+    # and the scan reports the witness
+    search = enumeration._mul_search
+
+    def with_bad_table(add_flat, n, auts, first_value, node_budget):
+        tables, nodes, completed = search(add_flat, n, auts, first_value, node_budget)
+        return tables + [sum(mul, ())] if tables else tables, nodes, completed
+
+    monkeypatch.setattr(enumeration, "canonical_semilattices", lambda n: (V3,))
+    monkeypatch.setattr(enumeration, "_mul_search", with_bad_table)
+    for workers in (1, 2):
+        with pytest.raises(AxiomError, match=law) as caught:
+            enumerate_ai_semirings(3, workers=workers)
+        assert caught.value.report.witnesses == {law: witness}
+
+
+def test_row_constant_stream_reports_a_later_tables_failure(monkeypatch):
+    endos = enumeration._orbit_minimal_endos
+    monkeypatch.setattr(enumeration, "canonical_semilattices", lambda n: (V3,))
+    monkeypatch.setattr(enumeration, "_orbit_minimal_endos", lambda add: [*endos(add), (0, 1, 1)])
+    assert min(endos(V3)) < (0, 1, 1)  # not the reduct's first table
+    with pytest.raises(AxiomError, match="right_distributive") as caught:
+        enumerate_row_constant(3)
+    assert caught.value.report.witnesses == {"right_distributive": (1, 2, 0)}
+
+
+def test_product_checker_keeps_only_proofs():
+    # the right-distributive failure's rows are those of x*y = y and
+    # x*y = 0, so a checker that has proved them must still test its
+    # columns, and reject the table again on a second call
+    check = _product_law_checker(3, V3)
+    assert check(as_bytes(((0, 1, 2),) * 3)) and check(as_bytes(((0, 0, 0),) * 3))
+    for mul, _, _ in ONE_SIDED:
+        assert not check(as_bytes(mul))
+        assert not check(as_bytes(mul))
 
 
 @pytest.mark.parametrize("n, labelled", [(2, 6), (3, 74), (4, 1246)])
