@@ -187,11 +187,15 @@ def cmd_enumerate(args) -> int:
             args.order, node_budget=args.node_budget, workers=args.workers
         )
     else:
-        if args.node_budget is not None:
-            print(
-                f"note: --node-budget applies only to --class all; --class {kind} ignores it",
-                file=sys.stderr,
-            )
+        for flag, given in (
+            ("--node-budget", args.node_budget is not None),
+            ("--workers", args.workers > 1),
+        ):
+            if given:
+                print(
+                    f"note: {flag} applies only to --class all; --class {kind} ignores it",
+                    file=sys.stderr,
+                )
         report = ENUMERATORS[kind](args.order)
     payload = {
         "order": report.order,

@@ -48,7 +48,6 @@ from .algebra import (
     automorphisms,
     canonical_tables,
     dual,
-    relabel,
 )
 
 MAX_SEMILATTICE_ORDER = 6
@@ -113,10 +112,9 @@ def canonical_semilattices(n: int) -> tuple[Table, ...]:
     reps: dict[tuple[int, ...], Table] = {}
     for smaller in canonical_semilattices(n - 1):
         for candidate in _filter_extensions(smaller, n - 1):
-            key, perm = canonical_tables((candidate,), n)
-            if key not in reps:
-                moved = relabel(FiniteAlgebra(n, candidate, candidate), perm)
-                reps[key] = moved.add
+            key = canonical_tables((candidate,), n)[0]
+            if key not in reps:  # the key is the relabelled table, flattened
+                reps[key] = tuple(key[i : i + n] for i in range(0, n * n, n))
     return tuple(reps[k] for k in sorted(reps))
 
 
@@ -152,17 +150,17 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
     still open or was checked at an ancestor, so a completed table
     satisfies all of them. Each law has one owner:
 
-    * distributivity, `dist[pos]`: every instance whose other two cells
-      are known when cell pos = (a, b) is filled pins its value to a
-      bitmask. With (a, b) a product, a(b + z) = ab + az, z < b, and
-      (a + y)b = ab + yb, y < a, pin v to v + c = d, read through
-      `sol[c][d]`, or to v + c = v where the sum cell is (a, b) itself,
-      read through `sol[c][-1]` (z = b and y = a hold since v + v = v,
-      and the instances whose sum cell comes later are open). With
-      (a, b) the sum, a(y + z) = ay + az, y < z < b, y + z = b, and
-      (x + y)b = xb + yb, x < y < a, x + y = a, pin v to one value,
-      read through `one`. The cell ANDs these masks once, before any
-      value is tried (forward checking);
+    * distributivity, `dist[pos]`: the reduct must be labelled
+      top-down, as `canonical_semilattices` labels it, so that
+      y + z <= min(y, z) for all y and z (else ValueError): y + z lies
+      above y and z, and a top-down labelling numbers it before both.
+      So the sum cell (a, y + z) of a(y + z) = ay + az, y < z, comes
+      before (a, z), and (x + y, b) of (x + y)b = xb + yb, x < y,
+      before (y, b): every sum cell is filled first, and the later
+      product cell owns the instance. With (a, b) that cell, a(b + z)
+      = ab + az, z < b, and (a + y)b = ab + yb, y < a, pin v to
+      v + c = d, read through `sol[c][d]`. The cell ANDs these masks
+      once, before any value is tried (forward checking);
     * associativity, `consistent`: with the new cell as xy, as yz, and
       as the outer product of (xy)z and of x(yz), in the order that
       rejects soonest (at order 5 the xy and yz loops reject almost
@@ -172,11 +170,9 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
 
     Every value is counted as a node, and checked against `node_budget`,
     before its bit is read, so node counts and budget cut points do not
-    depend on the masks. On a canonical reduct the sum-cell lists are
-    empty: y + z = b with y, z other than b puts b above y and z, and
-    the top-down labelling numbers b before both. Cells are filled
-    row-major, so the rows past a and the cells past b in row a are
-    empty: the yz loop skips them through the prefixes `above`.
+    depend on the masks. Cells are filled row-major, so the rows past a
+    and the cells past b in row a are empty: the yz loop skips them
+    through the prefixes `above`.
 
     Lex-leader: per automorphism p in `auts`, the first cell where the
     table and its image under p are not yet compared advances over the
@@ -185,22 +181,19 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
     complete. Returns (tables, nodes, completed).
     """
     rng = range(n)
+    adds = [add_flat[x * n : x * n + n] for x in rng]
+    if any(adds[y][z] > min(y, z) for y in rng for z in rng):
+        raise ValueError("the multiplication search needs a reduct labelled top-down")
     rows = [[-1] * n for _ in rng]
     flat = [-1] * (n * n)  # the same cells, row-major
-    adds = [add_flat[x * n : x * n + n] for x in rng]
     above = [rows[:k] for k in range(n + 1)]  # the rows before row k
-    # sol[c][d]: the values v with v + c = d, as a bitmask; sol[c][-1],
-    # read through the cell being filled, those with v + c = v
-    sol = [[sum(1 << v for v in rng if adds[v][c] == d) for d in rng]
-           + [sum(1 << v for v in rng if adds[v][c] == v)] for c in rng]
-    one = [[1 << adds[c][d] for d in rng] for c in rng]  # the value c + d, as a bitmask
-    # dist[a * n + b]: (masks, i, j) with the value of (a, b) in
-    # masks[flat[i]][flat[j]], for the instances listed in the docstring
+    # sol[c][d]: the values v with v + c = d, as a bitmask
+    sol = [[sum(1 << v for v in rng if adds[v][c] == d) for d in rng] for c in rng]
+    # dist[a * n + b]: the cells (i, j) of the instances listed in the
+    # docstring, the value of (a, b) in sol[flat[i]][flat[j]]
     dist = [
-        [(sol, a * n + z, a * n + s) for z in range(b) if (s := adds[b][z]) <= b]
-        + [(sol, y * n + b, s * n + b) for y in range(a) if (s := adds[a][y]) <= a]
-        + [(one, a * n + y, a * n + z) for z in range(b) for y in range(z) if adds[y][z] == b]
-        + [(one, x * n + b, y * n + b) for y in range(a) for x in range(y) if adds[x][y] == a]
+        [(a * n + z, a * n + adds[b][z]) for z in range(b)]
+        + [(y * n + b, adds[a][y] * n + b) for y in range(a)]
         for a in rng
         for b in rng
     ]
@@ -283,11 +276,9 @@ def _mul_search(add_flat, n, auts, first_value, node_budget):
         else:
             v = forced(a, b)
             values = rng if v is None else (v,)
-        # cell (a, b) is still empty, so a sum cell equal to it reads
-        # sol[c][-1]
         mask = -1
-        for masks, i, j in dist[pos]:
-            mask &= masks[flat[i]][flat[j]]
+        for i, j in dist[pos]:
+            mask &= sol[flat[i]][flat[j]]
         for v in values:
             nodes += 1
             if node_budget is not None and nodes > node_budget:

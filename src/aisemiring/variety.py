@@ -14,9 +14,10 @@ Vectors are packed into bytes and the componentwise operations run
 through int/bytes translation tables, which keeps rank-4 free algebras
 over 4-element generators comfortably fast in pure Python. Generators
 whose combined carrier exceeds 16 elements fall back to a plain tuple
-representation. Either way the closure computes each product once:
-its sweep over pairs of elements records the operation tables as it
-discovers new elements.
+representation, chosen once when the vectors are set up (_Vectors).
+Either way the closure computes each product once: its sweep over
+pairs of elements records the operation tables as it discovers new
+elements.
 
 Classification into the ten subvarieties of R (the ai-semirings
 satisfying xy = xz) needs no closure. In R, xw = xx for every term w, so
@@ -87,11 +88,19 @@ def _variable(i: int) -> str:
 class _Vectors:
     """Evaluation vectors of rank k over the generators: one entry per
     assignment of the k variables in each generator, blocks in generator
-    order, assignments in lexicographic order.
+    order, assignments in lexicographic order; `seeds[i]` is the vector
+    of x_{i+1}.
 
     Entries carry their generator's offset, so one pair table serves
     every block: x + y and xy sit at byte x << 4 | y of two translation
-    tables for at most 16 letters, else at key (x, y) of two dicts.
+    tables for at most 16 letters, else at key (x, y) of two dicts. The
+    letter count settles that choice here, once, in three callables:
+    `form(u)`, the integer of packed u (tuples stay as they are);
+    `pair(form(u), form(v))`, the code of the entry pairs (u_j, v_j),
+    bytes (u_j << 4 | v_j) or a tuple of pairs; and `read(code, table)`,
+    the table read entry by entry through a code. So u + v is
+    read(pair(form(u), form(v)), add_pair), and uv reads mul_pair
+    through the same code.
     """
 
     def __init__(self, generators, k):
@@ -106,7 +115,7 @@ class _Vectors:
             width += count
             offset += g.order
         self.width = width
-        self._packed = packed = offset <= 16
+        packed = offset <= 16
         add, mul = (bytearray(256), bytearray(256)) if packed else ({}, {})
         for g, offset, _count in blocks:
             for a, b in itertools.product(range(g.order), repeat=2):
@@ -114,22 +123,25 @@ class _Vectors:
                 code = x << 4 | y if packed else (x, y)
                 add[code] = offset + g.add[a][b]
                 mul[code] = offset + g.mul[a][b]
+        seeds = [
+            [
+                offset + assignment[i]
+                for g, offset, _count in blocks
+                for assignment in itertools.product(range(g.order), repeat=k)
+            ]
+            for i in range(k)
+        ]
+        self.seeds = list(map(bytes if packed else tuple, seeds))
         if packed:
-            add, mul = bytes(add), bytes(mul)
-        self._add_pair, self._mul_pair = add, mul
-
-    def _seed_vectors(self):
-        seeds = []
-        for i in range(self.k):
-            entries = []
-            for g, offset, _count in self.blocks:
-                for assignment in itertools.product(range(g.order), repeat=self.k):
-                    entries.append(offset + assignment[i])
-            seeds.append(self._pack(entries))
-        return seeds
-
-    def _pack(self, entries):
-        return bytes(entries) if self._packed else tuple(entries)
+            self.add_pair, self.mul_pair = bytes(add), bytes(mul)
+            self.form = lambda u: int.from_bytes(u, "big")
+            self.pair = lambda iu, iv: (iu << 4 | iv).to_bytes(width, "big")
+            self.read = bytes.translate
+        else:
+            self.add_pair, self.mul_pair = add, mul
+            self.form = lambda u: u
+            self.pair = lambda u, v: tuple(zip(u, v))
+            self.read = lambda code, table: tuple(map(table.__getitem__, code))
 
     def decode(self, vector) -> tuple[int, ...]:
         """Vector entries as local generator elements (offsets removed)."""
@@ -140,24 +152,6 @@ class _Vectors:
             out.extend((x - offset for x in block) if offset else block)
             pos += count
         return tuple(out)
-
-    def _code(self, u, v) -> bytes:
-        """Packed u and v with the pair (u_j, v_j) in byte j, the index
-        the pair tables read."""
-        code = int.from_bytes(u, "big") << 4 | int.from_bytes(v, "big")
-        return code.to_bytes(self.width, "big")
-
-    def add(self, u, v):
-        """u + v entry by entry."""
-        if self._packed:
-            return self._code(u, v).translate(self._add_pair)
-        return tuple(self._add_pair[p] for p in zip(u, v))
-
-    def mul(self, u, v):
-        """uv entry by entry."""
-        if self._packed:
-            return self._code(u, v).translate(self._mul_pair)
-        return tuple(self._mul_pair[p] for p in zip(u, v))
 
 
 class _Universe(_Vectors):
@@ -190,28 +184,15 @@ class _Universe(_Vectors):
 
     def _vector_ops(self):
         """Seeds, element form and step of the closure over evaluation
-        vectors (see _sweep). Packed vectors take their integer form, so
-        u + v and uv share one pair code and differ only in the
-        translation table."""
-        seeds = self._seed_vectors()
-        width, add_pair, mul_pair = self.width, self._add_pair, self._mul_pair
-        if not self._packed:
+        vectors (see _sweep): u + v and uv share one pair code and
+        differ only in the table read through it."""
+        pair, read, add_pair, mul_pair = self.pair, self.read, self.add_pair, self.mul_pair
 
-            def step(u, v):
-                return (
-                    tuple(add_pair[p] for p in zip(u, v)),
-                    tuple(mul_pair[p] for p in zip(u, v)),
-                    tuple(mul_pair[b, a] for a, b in zip(u, v)),
-                )
+        def step(u, v):
+            code = pair(u, v)
+            return read(code, add_pair), read(code, mul_pair), read(pair(v, u), mul_pair)
 
-            return seeds, lambda u: u, step
-
-        def step(iu, iv):
-            pair = (iu << 4 | iv).to_bytes(width, "big")
-            flipped = (iv << 4 | iu).to_bytes(width, "big")
-            return pair.translate(add_pair), pair.translate(mul_pair), flipped.translate(mul_pair)
-
-        return seeds, lambda u: int.from_bytes(u, "big"), step
+        return self.seeds, self.form, step
 
     def _sweep(self, seeds, form, step, max_size) -> list:
         """Worklist closure of the seed keys under both operations,
@@ -751,8 +732,12 @@ def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
 def _letter_joins(vectors: _Vectors) -> list:
     """joins[S] for every subset S of the 2k letters: its evaluation
     vector over the generators, joins[0] = None."""
-    seeds = vectors._seed_vectors()
-    return _subset_joins(seeds + [vectors.mul(x, x) for x in seeds], vectors.add)
+    form, pair, read = vectors.form, vectors.pair, vectors.read
+    squares = [read(pair(u, u), vectors.mul_pair) for u in map(form, vectors.seeds)]
+    add_pair = vectors.add_pair
+    return _subset_joins(
+        vectors.seeds + squares, lambda u, v: read(pair(form(u), form(v)), add_pair)
+    )
 
 
 def _closed_route(spec: VarietySpec, k: int, cell_limit: int):

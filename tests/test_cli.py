@@ -301,6 +301,28 @@ def test_derive_budget_exhaustion_is_resource_status(capsys):
     assert out == ""
 
 
+def test_derive_basis_file_prints_what_basis_prints(tmp_path, capsys):
+    path = tmp_path / "basis.txt"
+    path.write_text("xx = xx + yy\nxy = xz\n")
+    target = ("--target", "x1x2 = y1y2")
+    inline = run(capsys, "derive", "--basis", "xx = xx + yy; xy = xz", *target)
+    assert inline[0] == 0
+    assert run(capsys, "derive", "--basis-file", str(path), *target) == inline
+
+
+def test_lattice_of_listed_specs(capsys):
+    code, out, err = run(capsys, "lattice", "--specs", "trivial", "L2", "N2", "L2,N2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:3] == ["order: 4", "distributive: True", "atoms: L2, N2"]
+    assert "  L2 -> L2,N2" in out.splitlines()
+    # without their join, L2 and N2 form no lattice
+    assert run(capsys, "lattice", "--specs", "L2", "N2") == (
+        1,
+        "",
+        "lattice incomplete: join of 'L2' and 'N2' is not among the listed specs\n",
+    )
+
+
 def test_figure1_passes(capsys):
     code, out, _ = run(capsys, "figure1")
     assert code == 0
@@ -377,15 +399,15 @@ def test_enumerate_budget_exhaustion_is_resource_status(capsys):
 
 @pytest.mark.parametrize("klass", ["row-constant", "column-constant", "both"])
 def test_structural_classes_note_the_ignored_node_budget(capsys, klass):
-    # stdout and the exit status are those of the run without the budget
+    # stdout and the exit status are those of the run without the budget;
+    # --workers gets the same note, but not at its default of 1
     argv = ("enumerate", "--order", "3", "--class", klass)
     code, out, err = run(capsys, *argv)
     assert err == ""
-    assert run(capsys, *argv, "--node-budget", "1") == (
-        code,
-        out,
-        f"note: --node-budget applies only to --class all; --class {klass} ignores it\n",
-    )
+    note = "note: {} applies only to --class all; --class " + klass + " ignores it\n"
+    assert run(capsys, *argv, "--node-budget", "1") == (code, out, note.format("--node-budget"))
+    assert run(capsys, *argv, "--workers", "2") == (code, out, note.format("--workers"))
+    assert run(capsys, *argv, "--workers", "1") == (code, out, "")
 
 
 def test_workers_below_one_is_usage_error(capsys):
@@ -434,6 +456,8 @@ def test_node_budget_below_one_is_usage_error(capsys, argv):
          "unrecognized arguments: --closure-limit 10"),
         (("free", "--variety", "L2", "--rank", "2", "--closure-limit", "10"),
          "unrecognized arguments: --closure-limit 10"),
+        (("enumerate", "--order", "3", "--node-budget", "abc"),
+         "argument --node-budget: invalid int value: 'abc'"),
     ],
 )
 def test_bad_budget_flags_are_usage_errors(capsys, argv, message):

@@ -134,6 +134,25 @@ def test_free_algebra_tuple_path_matches_packed_path():
     assert [v * 5 for v in packed.vectors] == list(wide.vectors)
 
 
+def test_free_algebra_closure_route_on_both_vector_paths():
+    # V(M2_or_D2_a, S4_475) lies in neither R nor its dual, so its free
+    # algebra is built by closure; its generators tripled span 18
+    # letters, beyond the 16 of a packed byte pair, so that closure runs
+    # on tuples, and must give the same algebra
+    gens = (g("M2_or_D2_a"), g("S4_475"))
+    once, thrice = VarietySpec("V", gens), VarietySpec("V3", gens * 3)
+    assert variety._closed_route(once, 2, DEFAULT_CELL_LIMIT) is None
+    assert sum(gen.order for gen in thrice.generators) == 18
+    packed, wide = free_algebra(once, 2), free_algebra(thrice, 2)
+    assert packed.algebra.order == 24 and packed.algebra.is_validated
+    assert wide.algebra.add == packed.algebra.add
+    assert wide.algebra.mul == packed.algebra.mul
+    assert [str(w) for w in wide.witnesses] == [str(w) for w in packed.witnesses]
+    assert [v * 3 for v in packed.vectors] == list(wide.vectors)
+    verdicts = [member(g(name), thrice).member for name in ("L2", "M2_or_D2_b", "R2")]
+    assert verdicts == [True, False, False]
+
+
 def test_free_algebra_satisfies_exactly_the_two_variable_identities():
     res = free_algebra(spec("V(L2,T2)", "L2", "T2"), 2)
     f = res.algebra
