@@ -16,19 +16,27 @@ congruence, symmetry and transitivity steps. Both routes append to one
 plain list of steps, and `_fold` chains each rewrite sequence into one
 conclusion; `replay_proof` re-checks every step without the search.
 
-The search computes each candidate rewrite on plain word sets and
-caches a compact edge record per successor; it builds a `ProofStep`
-only for the steps of the chain it returns. It never calls the checked
-`_apply_occurrence`: its matched words are images of summands of the
-state, and a factor span is the matched slice, so those checks cannot
-fail there. `replay_proof` runs that checked rewrite on every step.
+The search's states are frozen word sets, not `TermNF`s: its cache,
+its visited marks and its goal test all work on frozensets, and a
+state's words are sorted into normal-form order once, when the state is
+expanded, so successors come in the order the normal forms would give.
+Each successor carries a compact edge record; `_step` builds the
+`TermNF`s and the `ProofStep` only for the links of the chain the search
+returns. The search never calls the checked `_apply_occurrence`: its
+matched words are images of summands of the state, and a factor span is
+the matched slice, so those checks cannot fail there. `replay_proof`
+runs that checked rewrite on every step.
 
 A rule whose source is one word matches inside one summand w at a
 time, and its matches, substitutions and replacement words depend only
 on (rule, w). Each search memoises those pieces per pair and reuses
 them in every state where w recurs; a state then only forms its next
-word sets. `Proof.nodes` still counts the states whose successors the
-search generated, so the memo changes neither proofs nor node counts.
+word sets. Every piece of w leaves the same rest S - {w}, so a piece
+whose replacement set is {w}, or repeats the replacement set of an
+earlier piece of the pair, could only reach states already emitted or
+skipped; the memo keeps neither. `Proof.nodes` still counts the states
+whose successors the search generated, so the memo changes neither
+proofs nor node counts.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from .terms import (
     Identity,
     TermNF,
     Word,
+    _word_key,
     decompose_identity,
     parse_identity,
     substitute,
@@ -130,14 +139,15 @@ def _match_word(pattern: Word, subject: Word, sigma: dict[str, Word]):
     yield from walk(0, 0)
 
 
-def _match_summands(pwords: tuple[Word, ...], subject: TermNF):
-    """Substitutions sending every pattern word onto some summand."""
+def _match_summands(pwords: tuple[Word, ...], words: Sequence[Word]):
+    """Substitutions sending every pattern word onto some summand, the
+    summands `words` taken in normal-form order."""
 
     def walk(i: int, sigma: dict[str, Word]):
         if i == len(pwords):
             yield dict(sigma)
             return
-        for w in subject.words:
+        for w in words:
             for extended in _match_word(pwords[i], w, sigma):
                 yield from walk(i + 1, extended)
 
@@ -226,17 +236,23 @@ def _image(words: Iterable[Word], sigma: dict[str, Word]) -> set[Word]:
 
 def _word_pieces(rule: _Rule, w: Word, candidates):
     """The rewrites of a one-word rule.src inside the summand w, as two
-    lists of (sigma, mode, word, span, R) in the order `_successors`
-    visits them: the whole-word matches, then the factor spans. The
-    matched set M is {w} for every piece, so none of this depends on the
-    rest of the state.
+    lists of (sigma, mode, word, span, R, size of R) in the order
+    `_successors` visits them: the whole-word matches, then the factor
+    spans. R is the frozenset of replacement words. The matched set M is
+    {w} for every piece, so none of this depends on the rest of the
+    state.
+
+    Every piece leaves the same rest S - {w}, so its states are
+    (S - {w}) | R and S | R. A piece whose R is {w} reaches only S, and
+    one whose R repeats that of an earlier piece, in visit order, reaches
+    only states the earlier one emitted or skipped; both are dropped.
     """
     pattern, fresh = rule.src.words[0], rule.fresh
-    whole, factor = [], []
+    firsts = {frozenset((w,)): None}  # R -> the first piece with it
     for sigma in _match_word(pattern, w, {}):
         for full in _fresh_assignments(fresh, sigma, candidates):
-            replacement = tuple(_image(rule.dst.words, full))
-            whole.append((full, "summands", None, None, replacement))
+            replacement = frozenset(_image(rule.dst.words, full))
+            firsts.setdefault(replacement, (full, "summands", None, None, replacement))
     for i in range(len(w)):
         # a span must host one nonempty factor per pattern variable
         for j in range(i + len(pattern), len(w) + 1):
@@ -245,20 +261,29 @@ def _word_pieces(rule: _Rule, w: Word, candidates):
             for sigma in _match_word(pattern, w[i:j], {}):
                 for full in _fresh_assignments(fresh, sigma, candidates):
                     image = _image(rule.dst.words, full)
-                    spliced = tuple(w[:i] + u + w[j:] for u in image)
-                    factor.append((full, "factor", w, (i, j), spliced))
+                    spliced = frozenset(w[:i] + u + w[j:] for u in image)
+                    firsts.setdefault(spliced, (full, "factor", w, (i, j), spliced))
+    whole, factor = [], []
+    for piece in firsts.values():
+        if piece is not None:
+            found = whole if piece[1] == "summands" else factor
+            found.append((*piece, sum(map(len, piece[4]))))
     return whole, factor
 
 
-def _successors(state: TermNF, rules, candidates, size_cap, memo=None):
-    """Deterministically ordered (next_state, edge) rewrites of state.
+def _successors(state: frozenset[Word], rules, candidates, size_cap, memo=None):
+    """Deterministically ordered (next_state, edge) rewrites of state, a
+    frozen word set; the next states are frozen word sets too.
 
     Each candidate is computed on word sets: the matched words M and the
     replacement words R are images of the rule's words, and the next
     state is (S - M) | R when the match is replaced, S | R when it is
     kept. A factor match has {w} for M and R spliced into w. An edge is
     the record (rule, sigma, mode, word, span, keep); `_step` turns it
-    into a ProofStep.
+    into a ProofStep. The words of S are sorted into normal-form order
+    here, once, and matched in that order. A candidate's size is bounded
+    by size(S - M) + size(R) or size(S) + size(R) first; it is summed
+    only when that bound exceeds the cap.
 
     When rule.src is one word, every match lies inside one summand w, so
     its pieces depend only on (rule, w). `_word_pieces` computes them
@@ -268,47 +293,57 @@ def _successors(state: TermNF, rules, candidates, size_cap, memo=None):
     """
     if memo is None:
         memo = {}
-    here = frozenset(state.words)
+    words = sorted(state, key=_word_key)
+    size = sum(map(len, words))
+    rests = [(w, state - {w}, size - len(w)) for w in words]
     out = []
     seen = set()
 
-    def emit(rule, rest, sigma, mode, w, span, replacement):
-        for keep in (False, True):
-            words = (here if keep else rest).union(replacement)
-            if words == here or words in seen or sum(map(len, words)) > size_cap:
+    def emit(rule, rest, rest_size, sigma, mode, w, span, replacement, r_size):
+        for keep, base, base_size in ((False, rest, rest_size), (True, state, size)):
+            new = base | replacement
+            if new == state or new in seen:
                 continue
-            seen.add(words)
-            out.append((TermNF(words), (rule, sigma, mode, w, span, keep)))
+            if base_size + r_size > size_cap and sum(map(len, new)) > size_cap:
+                continue
+            seen.add(new)
+            out.append((new, (rule, sigma, mode, w, span, keep)))
 
     for index, rule in enumerate(rules):
         if len(rule.src.words) == 1:
             pieces = []
-            for w in state.words:
+            for w, rest, rest_size in rests:
                 key = (index, w)
                 if key not in memo:
                     memo[key] = _word_pieces(rule, w, candidates)
-                pieces.append((here - {w}, memo[key]))
+                pieces.append((rest, rest_size, memo[key]))
             for part in (0, 1):  # whole-word matches first, then factor spans
-                for rest, found in pieces:
+                for rest, rest_size, found in pieces:
                     for piece in found[part]:
-                        emit(rule, rest, *piece)
+                        emit(rule, rest, rest_size, *piece)
             continue
-        # a match binds exactly the variables of rule.src
-        for sigma in _match_summands(rule.src.words, state):
+        # a match binds exactly the variables of rule.src, onto summands
+        for sigma in _match_summands(rule.src.words, words):
             for full in _fresh_assignments(rule.fresh, sigma, candidates):
-                rest = here - _image(rule.src.words, full)
-                replacement = _image(rule.dst.words, full)
-                emit(rule, rest, full, "summands", None, None, replacement)
+                matched = _image(rule.src.words, full)
+                replacement = frozenset(_image(rule.dst.words, full))
+                rest = state - matched
+                rest_size = size - sum(map(len, matched))
+                r_size = sum(map(len, replacement))
+                emit(
+                    rule, rest, rest_size, full, "summands", None, None, replacement, r_size
+                )
     return out
 
 
-def _step(state: TermNF, new: TermNF, edge) -> ProofStep:
-    """The proof step of one edge that `_successors` found from state."""
+def _step(state: frozenset[Word], new: frozenset[Word], edge) -> ProofStep:
+    """The proof step of one edge that `_successors` found from state;
+    the only place the search's word sets become `TermNF`s."""
     rule, sigma, mode, w, span, keep = edge
     matched = TermNF(_image(rule.src.words, sigma)).words if mode == "summands" else ()
     return ProofStep(
         kind="axiom-instance",
-        result=Identity(state, new),
+        result=Identity(TermNF(state), TermNF(new)),
         axiom=rule.label,
         direction=rule.direction,
         substitution=tuple(sorted((v, TermNF([u])) for v, u in sigma.items())),
@@ -321,9 +356,11 @@ def _step(state: TermNF, new: TermNF, edge) -> ProofStep:
 
 
 class _Search:
-    """One iterative-deepening search: its successor lists per state,
-    `_successors`' per-(rule, word) memo, and the count of states it
-    expanded. Both caches live and die with the search."""
+    """One iterative-deepening search over frozen word sets: its
+    successor lists per state, `_successors`' per-(rule, word) memo, and
+    the count of states it expanded. Both caches live and die with the
+    search. `chain` takes terms and returns proof steps; the states in
+    between are never `TermNF`s."""
 
     def __init__(self, rules, candidates, size_cap, node_budget):
         self.rules = rules
@@ -331,10 +368,10 @@ class _Search:
         self.size_cap = size_cap
         self.node_budget = node_budget
         self.nodes = 0
-        self._succ_cache: dict[TermNF, list] = {}
+        self._succ_cache: dict[frozenset[Word], list] = {}
         self._word_memo: dict[tuple[int, Word], tuple[list, list]] = {}
 
-    def successors(self, state: TermNF):
+    def successors(self, state: frozenset[Word]):
         cached = self._succ_cache.get(state)
         if cached is None:
             self.nodes += 1
@@ -350,8 +387,9 @@ class _Search:
         """Shortest rewrite chain start -> goal, as a list of steps."""
         if start == goal:
             return []
+        start, goal = frozenset(start.words), frozenset(goal.words)
         for limit in range(1, depth + 1):
-            best_seen: dict[TermNF, int] = {start: limit}
+            best_seen: dict[frozenset[Word], int] = {start: limit}
             path = self._dfs(start, goal, limit, best_seen)
             if path is not None:
                 return [_step(*link) for link in path]

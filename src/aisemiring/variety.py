@@ -169,16 +169,19 @@ class _Universe(_Vectors):
     mentions. Classes and vectors correspond one to one and so do the
     operations, so the sweep discovers the same elements in the same
     order as the closure does, and `vectors` are the joins of the
-    classes' subsets.
+    classes' subsets. `joins` keeps the join of every subset, computed
+    from the generators and not from rep, for _check_closed_form; it is
+    None on the closure.
     """
 
     def __init__(self, generators, k, cell_limit, closed_form=None):
         super().__init__(generators, k)
         self.closed_form = closed_form
         if closed_form is None:
+            self.joins = None
             self.vectors = self._sweep(*self._vector_ops(), cell_limit // self.width)
         else:
-            joins = _letter_joins(self)
+            self.joins = joins = _letter_joins(self)
             classes = self._sweep(*_class_ops(k, *closed_form), cell_limit // self.width)
             self.vectors = [joins[c] for c in classes]
 
@@ -785,8 +788,9 @@ def _check_closed_form(uni: _Universe, rep: tuple[int, ...], label: str) -> None
     equals its representative's, and the representatives' joins are
     pairwise distinct. The joins of a subset agree over a generator and
     its dual, so the check serves both routes. _universe runs it on
-    every closed-form build."""
-    joins = _letter_joins(uni)
+    every closed-form build, reading the joins that uni computed from
+    its generators."""
+    joins = uni.joins
     classes = set(rep[1:])  # rep[0] pads the empty subset
     if (
         any(joins[s] != joins[r] for s, r in enumerate(rep))

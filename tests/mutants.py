@@ -45,7 +45,23 @@ class Mutant:
 ENUMERATION = "src/aisemiring/enumeration.py"
 VARIETY = "src/aisemiring/variety.py"
 ALGEBRA = "src/aisemiring/algebra.py"
+DERIVE = "src/aisemiring/derive.py"
 CLOSURE_PATHS = "tests/test_variety.py::test_free_algebra_closure_route_on_both_vector_paths"
+REFUTED_NODES = "tests/test_derive.py::test_refuted_search_node_counts_are_pinned"
+FALLBACK_PINS = "tests/test_derive.py::test_fallback_proofs_are_pinned"
+CHAIN_PINS = "tests/test_derive.py::test_chain_proofs_are_pinned"
+FIRST_PIECES = "tests/test_derive.py::test_word_memo_keeps_the_first_piece_of_each_replacement_set"
+REFERENCE = "tests/test_derive.py::test_successors_match_the_reference_generator"
+# the lines of `_Search.successors` between its cache lookup and its fill
+CACHE_FILL = """\
+        if cached is None:
+            self.nodes += 1
+            if self.node_budget is not None and self.nodes > self.node_budget:
+                raise ResourceBudgetError("node budget exhausted")
+            cached = _successors(
+                state, self.rules, self.candidates, self.size_cap, self._word_memo
+            )
+            """
 
 MUTANTS = (
     Mutant(
@@ -96,6 +112,43 @@ MUTANTS = (
         "return rep[u[0] | v[0]], v[1], u[1]",
         "return rep[u[0] | v[0]], u[1], v[1]",
         ("tests/test_variety.py::test_member_matches_reference_walk_on_all_algebras_up_to_order_3",),
+    ),
+    Mutant(
+        "size bound with the keep and replace bases swapped",
+        DERIVE,
+        "for keep, base, base_size in ((False, rest, rest_size), (True, state, size)):",
+        "for keep, base, base_size in ((False, rest, size), (True, state, rest_size)):",
+        (REFUTED_NODES, REFERENCE),
+    ),
+    Mutant(
+        "whole-word piece dedupe keeps the last repeat",
+        DERIVE,
+        'firsts.setdefault(replacement, (full, "summands", None, None, replacement))',
+        'firsts[replacement] = (full, "summands", None, None, replacement)',
+        (FIRST_PIECES,),
+    ),
+    Mutant(
+        "factor piece dedupe keeps the last repeat",
+        DERIVE,
+        'firsts.setdefault(spliced, (full, "factor", w, (i, j), spliced))',
+        'firsts[spliced] = (full, "factor", w, (i, j), spliced)',
+        (FIRST_PIECES, FALLBACK_PINS, REFERENCE),
+    ),
+    Mutant(
+        "goal left a term, never equal to a word set",
+        DERIVE,
+        "start, goal = frozenset(start.words), frozenset(goal.words)",
+        "start = frozenset(start.words)",
+        (CHAIN_PINS, FALLBACK_PINS),
+    ),
+    Mutant(
+        "successor cache keyed on the word lengths",
+        DERIVE,
+        "cached = self._succ_cache.get(state)\n" + CACHE_FILL + "self._succ_cache[state] = cached",
+        "cached = self._succ_cache.get(frozenset(map(len, state)))\n"
+        + CACHE_FILL
+        + "self._succ_cache[frozenset(map(len, state))] = cached",
+        (REFUTED_NODES, CHAIN_PINS),
     ),
 )
 

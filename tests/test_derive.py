@@ -414,10 +414,12 @@ def test_other_displayed_absorption_chains():
 
 
 def _generated(state, rules, candidates, size_cap):
-    """The generator's (next_state, step) pairs, every step built."""
+    """The generator's (next_state, step) pairs from a term, every step
+    built and every next state a term."""
+    here = frozenset(state.words)
     return [
-        (new, _step(state, new, edge))
-        for new, edge in _successors(state, rules, candidates, size_cap)
+        (TermNF(new), _step(here, new, edge))
+        for new, edge in _successors(here, rules, candidates, size_cap)
     ]
 
 
@@ -491,7 +493,7 @@ def reference_successors(state, rules, candidates, size_cap):
     seen = set()
     for rule in rules:
         matches = []
-        for sigma in _match_summands(rule.src.words, state):
+        for sigma in _match_summands(rule.src.words, state.words):
             matches.append(("summands", sigma, None, None))
         if len(rule.src.words) == 1:
             pattern = rule.src.words[0]
@@ -588,11 +590,62 @@ def test_successors_match_the_reference_generator(
     search = _recorded_search(monkeypatch, basis, target, depth - 1)
     assert 0 < search.nodes < nodes
     for state in search._succ_cache:
+        term = TermNF(state)
         assert _generated(
-            state, search.rules, search.candidates, search.size_cap
+            term, search.rules, search.candidates, search.size_cap
         ) == reference_successors(
-            state, search.rules, search.candidates, search.size_cap
+            term, search.rules, search.candidates, search.size_cap
         )
+
+
+def _reference_word_pieces(rule, w, candidates):
+    """Every (part, sigma, mode, word, span, R) that rule.src, one word,
+    has inside the summand w, in the visit order and with repeats."""
+    pattern = rule.src.words[0]
+    matches = [(0, sigma, "summands", None, None) for sigma in _match_word(pattern, w, {})]
+    for i in range(len(w)):
+        for j in range(i + 1, len(w) + 1):
+            if (i, j) != (0, len(w)):
+                for sigma in _match_word(pattern, w[i:j], {}):
+                    matches.append((1, sigma, "factor", w, (i, j)))
+    for part, sigma, mode, word, span in matches:
+        for full in _reference_fresh_assignments(rule, sigma, candidates):
+            image = substitute(rule.dst, _word_term(full)).words
+            if span is not None:
+                i, j = span
+                image = [w[:i] + u + w[j:] for u in image]
+            yield part, full, mode, word, span, frozenset(image)
+
+
+@pytest.mark.parametrize(("basis", "target", "depth", "nodes"), REFUTED)
+def test_word_memo_keeps_the_first_piece_of_each_replacement_set(
+    monkeypatch, basis, target, depth, nodes
+):
+    # every piece of (rule, w) leaves the same rest S - {w}, so a piece
+    # whose replacement set R is {w}, or repeats an earlier piece's R,
+    # reaches no new state: each memo entry holds exactly the first piece
+    # of every other R, in the order the search visits them, and the
+    # repeats it drops are really there
+    search = _recorded_search(monkeypatch, basis, target, depth)
+    repeats = 0
+    for (index, w), entry in search._word_memo.items():
+        rule = search.rules[index]
+        expected = ([], [])
+        kept = {frozenset([w])}
+        for part, *piece, replacement in _reference_word_pieces(
+            rule, w, search.candidates
+        ):
+            if replacement in kept:
+                repeats += replacement != frozenset([w])
+                continue
+            kept.add(replacement)
+            size = sum(map(len, replacement))
+            expected[part].append((*piece, replacement, size))
+        assert entry == expected
+        replacements = [piece[4] for piece in entry[0] + entry[1]]
+        assert len(set(replacements)) == len(replacements)
+        assert frozenset([w]) not in replacements
+    assert repeats > 0
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -621,12 +674,12 @@ def test_memoised_successors_match_memo_free_calls(monkeypatch, seed):
     assert searches
     for search in searches:
         for state, cached in search._succ_cache.items():
-            args = (state, search.rules, search.candidates, search.size_cap)
-            assert cached == _successors(*args)
-            if len(state.words) <= 3:
+            config = (search.rules, search.candidates, search.size_cap)
+            assert cached == _successors(state, *config)
+            if len(state) <= 3:
                 assert [
-                    (new, _step(state, new, edge)) for new, edge in cached
-                ] == reference_successors(*args)
+                    (TermNF(new), _step(state, new, edge)) for new, edge in cached
+                ] == reference_successors(TermNF(state), *config)
             for _, (rule, sigma, mode, *_rest) in cached:
                 modes.add(mode)
                 fresh += not set(rule.dst.variables()) <= set(rule.src.variables())

@@ -3,7 +3,7 @@
 import functools
 import itertools
 import random
-from collections import Counter
+from collections import Counter, OrderedDict
 
 import pytest
 
@@ -567,6 +567,43 @@ def test_budget_errors_are_not_answers():
         member(g("S4_475"), R_SPEC, cell_limit=10)
     with pytest.raises(ResourceBudgetError):
         free_algebra(R_SPEC, 2, cell_limit=2 * 16)  # two vectors of width 16
+
+
+def test_cold_closed_form_free_algebra_computes_the_letter_joins_twice(monkeypatch):
+    # once for the closed form and once for the universe, whose joins the
+    # check reads instead of computing them a third time; with the closed
+    # form cached only the universe computes them
+    calls = []
+    letter_joins = variety._letter_joins
+
+    def counted(vectors):
+        calls.append(vectors)
+        return letter_joins(vectors)
+
+    monkeypatch.setattr(variety, "_letter_joins", counted)
+    monkeypatch.setattr(variety, "_closed_forms", OrderedDict())
+    order = free_algebra(R_SPEC, 3).algebra.order
+    assert len(calls) == 2
+    assert free_algebra(R_SPEC, 3).algebra.order == order
+    assert len(calls) == 3
+
+
+def test_check_closed_form_rejects_a_corrupted_rep():
+    # V(L2,N2) at rank 2 has 8 classes over the 15 nonempty subsets
+    ln = spec("V(L2,N2)", "L2", "N2")
+    route = variety._closed_route(ln, 2, DEFAULT_CELL_LIMIT)
+    rep = route[0]
+    uni = variety._Universe(ln.generators, 2, DEFAULT_CELL_LIMIT, route)
+    variety._check_closed_form(uni, rep, ln.label)
+    # two classes merged: some subset no longer has its representative's join
+    first, second = sorted(set(rep[1:]))[:2]
+    merged = tuple(first if r == second else r for r in rep)
+    # a class split: two representatives share one join
+    s = next(s for s, r in enumerate(rep) if s != r)
+    split = rep[:s] + (s,) + rep[s + 1 :]
+    for bad in (merged, split):
+        with pytest.raises(RuntimeError, match="disagrees with the closed form"):
+            variety._check_closed_form(uni, bad, ln.label)
 
 
 def test_cell_limit_cuts_exactly_at_size_times_width():
