@@ -8,6 +8,7 @@ lattice claim does not hold); 2 = usage or resource errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -616,9 +617,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads, built once per process: parse_args
+    leaves it unchanged, and `prog` is fixed, so every call prints the
+    same usage and help text."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit2 as exc:

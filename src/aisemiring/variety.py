@@ -25,7 +25,9 @@ F_R(k) is the free semilattice on the 2k letters x_i, x_i x_i: every
 term is the join of a nonempty subset of them, and there are 4^k - 1
 elements. A subvariety V of R identifies the subsets whose joins have
 the same evaluation vector over V's generators; those vectors are built
-subset by subset, each one join from a smaller subset. A candidate in R
+subset by subset, each one join from a smaller subset. For the ten
+standard specs, and their duals, one invariant of each subset gives the
+same classes without a vector (see _closed_form). A candidate in R
 generated by its k elements lies in V exactly when every subset's join
 takes the same value in it as its class's least subset does (see
 classify_generated). `holds_in` decides an identity in V(spec) for a
@@ -45,8 +47,9 @@ order read one inclusion matrix (_leq) of `member` verdicts.
 `free_algebra` needs the free algebra itself, with its tables and
 witnesses; on the closed-form route _universe runs the closure's sweep
 over the closed form's classes, which gives the same elements in the
-same order, hence the same witnesses (see _Universe). No free algebra
-outlives its call; only the closed forms are cached.
+same order, hence the same witnesses, until it has found every class,
+and reads the tables from the closed form (see _Universe). No free
+algebra outlives its call; only the closed forms are cached.
 """
 
 from __future__ import annotations
@@ -169,20 +172,25 @@ class _Universe(_Vectors):
     mentions. Classes and vectors correspond one to one and so do the
     operations, so the sweep discovers the same elements in the same
     order as the closure does, and `vectors` are the joins of the
-    classes' subsets. `joins` keeps the join of every subset, computed
-    from the generators and not from rep, for _check_closed_form; it is
-    None on the closure.
+    classes' subsets. rep has len(set(rep[1:])) classes, so the sweep
+    stops once it has discovered that many and _fill reads the tables
+    from rep. `joins` keeps the join of every subset, computed from the
+    generators and not from rep, for _check_closed_form; it is None on
+    the closure.
     """
 
     def __init__(self, generators, k, cell_limit, closed_form=None):
         super().__init__(generators, k)
         self.closed_form = closed_form
+        max_size = cell_limit // self.width
         if closed_form is None:
             self.joins = None
-            self.vectors = self._sweep(*self._vector_ops(), cell_limit // self.width)
+            self.vectors = self._sweep(*self._vector_ops(), max_size)
         else:
+            rep, flipped = closed_form
             self.joins = joins = _letter_joins(self)
-            classes = self._sweep(*_class_ops(k, *closed_form), cell_limit // self.width)
+            classes = self._sweep(*_class_ops(k, rep, flipped), max_size, len(set(rep[1:])))
+            self._fill(classes, rep, flipped)
             self.vectors = [joins[c] for c in classes]
 
     def _vector_ops(self):
@@ -197,10 +205,12 @@ class _Universe(_Vectors):
 
         return self.seeds, self.form, step
 
-    def _sweep(self, seeds, form, step, max_size) -> list:
+    def _sweep(self, seeds, form, step, max_size, size=None) -> list:
         """Worklist closure of the seed keys under both operations,
         recording the operation tables as it goes; returns the keys by
-        index.
+        index. When `size`, the number of keys, is known in advance, the
+        sweep stops at the end of the row where it discovers the last
+        key, and the caller fills the tables instead (see _fill).
 
         Elements are indexed in discovery order (seeds first, then new
         keys as the deterministic add/mul/mul-flipped sweep produces
@@ -237,7 +247,7 @@ class _Universe(_Vectors):
         add_tab: list[list[int]] = []
         mul_tab: list[list[int]] = []
         pos = 0
-        while pos < len(keys):
+        while pos < len(keys) and len(keys) != size:
             fu = form(keys[pos])
             forms.append(fu)
             add_row: list[int] = []
@@ -261,13 +271,31 @@ class _Universe(_Vectors):
                     add_tab[j].append(s)
                     mul_tab[j].append(q)
             pos += 1
-        rows: dict[tuple, tuple] = {}
-        self.add_tab = tuple(map(tuple, add_tab))
-        self.mul_tab = tuple(rows.setdefault(row, row) for row in map(tuple, mul_tab))
+        if size is None:
+            rows: dict[tuple, tuple] = {}
+            self.add_tab = tuple(map(tuple, add_tab))
+            self.mul_tab = tuple(rows.setdefault(row, row) for row in map(tuple, mul_tab))
         self._parents = parents
         self._witnesses: dict[int, TermNF] = {}
         self.seed_ids = [index[key] for key in seeds]
         return keys
+
+    def _fill(self, classes, rep, flipped) -> None:
+        """The tables of the closed-form route, read from rep: S + T is
+        the class of S | T, and S.T the class of sq(S) inside R, of
+        sq(T) inside its dual, so every row of mul_tab is constant
+        inside R and all rows are one tuple inside its dual."""
+        k, n = self.k, len(classes)
+        low = (1 << k) - 1
+        index = {c: i for i, c in enumerate(classes)}
+        at = [index.get(r) for r in rep]  # subset -> element
+        squares = [at[((c | c >> k) & low) << k] for c in classes]
+        self.add_tab = tuple(tuple([at[c | d] for d in classes]) for c in classes)
+        if flipped:
+            self.mul_tab = (tuple(squares),) * n
+        else:
+            rows: dict[int, tuple] = {}
+            self.mul_tab = tuple(rows.setdefault(p, (p,) * n) for p in squares)
 
     def witness(self, idx: int) -> TermNF:
         """A term that evaluates to element idx, following its first
@@ -335,9 +363,10 @@ def free_algebra(
     returned. Each call builds the algebra afresh; none is kept. For a
     spec inside R or its dual whose closed form's (4^k - 1) x width
     cells fit `cell_limit`, the algebra is built from the closed form,
-    which is checked on each build: each subset's join must equal its
-    representative's, and the representatives' joins must be distinct
-    (else RuntimeError), which vouches for the tables too. Other specs
+    its tables read from rep, and rep is checked on each build: each
+    subset's join must equal its representative's, and the
+    representatives' joins must be distinct (else RuntimeError), which
+    vouches for the tables too. Other specs
     take the closure; the elements, tables and witnesses are the same on
     both routes. Only a closure-built algebra has its axioms checked, an
     O(n^3) check, and only up to order 100.
@@ -376,7 +405,10 @@ class MembershipResult:
 
 
 def member(
-    a: FiniteAlgebra, spec: VarietySpec, cell_limit: int = DEFAULT_CELL_LIMIT
+    a: FiniteAlgebra,
+    spec: VarietySpec,
+    cell_limit: int = DEFAULT_CELL_LIMIT,
+    join_values: dict | None = None,
 ) -> MembershipResult:
     """Decide whether `a` lies in the variety generated by the spec.
 
@@ -402,6 +434,10 @@ def member(
     in the sweep order, yields the separating identity: the element's
     witness on one side, the failing sum or product of witnesses on the
     other.
+
+    `join_values`, a dict shared by calls on one family of specs (see
+    _leq), keeps each candidate's subset join values (_join_values) for
+    the later calls; by default they are computed for this call alone.
     """
     a.validate()
     k = a.order
@@ -409,16 +445,18 @@ def member(
     if route is None:
         separating = _separating_identity(a, _universe(spec, k, cell_limit))
     else:
-        separating = _closed_form_identity(a, *route)
+        values = {} if join_values is None else join_values
+        separating = _closed_form_identity(a, *route, values)
     assignment = {_variable(i): i for i in range(k)}
     return MembershipResult(separating is None, separating, assignment)
 
 
 def _closed_form_identity(
-    a: FiniteAlgebra, rep: tuple[int, ...], flipped: bool
+    a: FiniteAlgebra, rep: tuple[int, ...], flipped: bool, join_values: dict
 ) -> Identity | None:
     """member's separating identity on the closed-form route, None for
-    a member (see member)."""
+    a member (see member); a's subset join values are read from, or
+    kept in, `join_values`."""
     if not _in_r(a, flipped):
         b = dual(a) if flipped else a
         i, row = next((i, row) for i, row in enumerate(b.mul) if row.count(row[0]) < b.order)
@@ -426,7 +464,10 @@ def _closed_form_identity(
         xi = _variable(i)
         ident = Identity(TermNF([(xi, _variable(0))]), TermNF([(xi, _variable(j))]))
         return ident.mirror() if flipped else ident
-    s = _first_failing_subset(_join_values(a), rep)
+    values = join_values.get(a)
+    if values is None:
+        values = join_values[a] = _join_values(a)
+    s = _first_failing_subset(values, rep)
     if s is None:
         return None
     return Identity(_subset_term(rep[s], a.order), _subset_term(s, a.order))
@@ -484,7 +525,7 @@ def compare(
     inside R or its dual and its closed form fits `cell_limit`, through
     the closure otherwise. Both routes honour `cell_limit`.
     """
-    leq = _leq((v1, v2), cell_limit)
+    leq = _leq((v1, v2), cell_limit, {})
     left_in_right, right_in_left = leq[0][1], leq[1][0]
     if left_in_right and right_in_left:
         return EQUAL
@@ -533,10 +574,13 @@ def build_lattice(
     land on a listed spec; a join or meet escaping the list raises
     LatticeIncompleteError with the offending pair, and so do two specs
     generating the same variety. Inclusions come from _leq, so a family
-    inside R or inside its dual builds no free-algebra closure.
+    inside R or inside its dual builds no free-algebra closure; _leq and
+    the join checks share one dict of join values, so each generator's
+    are computed once per call.
     """
     m = len(specs)
-    leq = _leq(specs, cell_limit)
+    join_values: dict = {}
+    leq = _leq(specs, cell_limit, join_values)
     for i, j in itertools.combinations(range(m), 2):
         if leq[i][j] and leq[j][i]:
             raise LatticeIncompleteError(
@@ -574,7 +618,8 @@ def build_lattice(
                 specs[i].generators + specs[j].generators,
             )
             if least is None or not all(
-                member(g, merged, cell_limit).member for g in specs[least].generators
+                member(g, merged, cell_limit, join_values).member
+                for g in specs[least].generators
             ):
                 raise LatticeIncompleteError(
                     f"join of {specs[i].label!r} and {specs[j].label!r} "
@@ -690,6 +735,23 @@ def _in_r(a: FiniteAlgebra, flipped: bool = False) -> bool:
 _closed_forms: OrderedDict[tuple[tuple, int], tuple[int, ...]] = OrderedDict()
 _CLOSED_FORM_CACHE_CELLS = 4**9
 
+# The invariant of (A, B, U, e) whose kernel is the k-variable theory of
+# each standard spec, by the spec's _pattern on (L, N, T, lt03, lnt02).
+# For a subset S, A is the set of i with x_i in S, B the set of i with
+# x_i x_i in S (both bitmasks), U = A | B, and e = (B is nonempty).
+_INVARIANTS = {
+    (True, True, True, True, True): lambda a, b, u, e: 0,  # T
+    (False, True, True, True, True): lambda a, b, u, e: u,  # V(L2)
+    (True, False, True, False, True): lambda a, b, u, e: a,  # V(N2)
+    (True, True, False, True, True): lambda a, b, u, e: None if e else a,  # V(T2)
+    (False, False, True, False, True): lambda a, b, u, e: (a, u),  # V(L2,N2)
+    (True, False, False, False, True): lambda a, b, u, e: (a, e),  # V(N2,T2)
+    (False, True, False, True, True): lambda a, b, u, e: (u, e),  # V(L2,T2)
+    (False, False, False, False, True): lambda a, b, u, e: (a, u, e),  # V(L2,N2,T2)
+    (False, True, False, False, False): lambda a, b, u, e: (b, u),  # V(S58)
+    (False, False, False, False, False): lambda a, b, u, e: (a, b),  # R
+}
+
 
 def _closed_form_key(spec: VarietySpec) -> tuple:
     """What the closed form reads of each generator: its + table and its
@@ -697,19 +759,62 @@ def _closed_form_key(spec: VarietySpec) -> tuple:
     return tuple((g.add, tuple(row[x] for x, row in enumerate(g.mul))) for g in spec.generators)
 
 
+@lru_cache(maxsize=1)
+def _rules() -> dict:
+    """The invariant of each standard spec by the set of its generators'
+    keys. Built from standard_subvariety_specs() and _pattern, not from
+    _standard(), whose inclusion order reads closed forms."""
+    return {
+        frozenset(_closed_form_key(s)): _INVARIANTS[_pattern(s.generators)]
+        for s in standard_subvariety_specs()
+    }
+
+
+def _rule(spec: VarietySpec):
+    """The spec's invariant when its generators' keys form the same set
+    as a standard spec's, else None."""
+    return _rules().get(frozenset(_closed_form_key(spec)))
+
+
 def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
     """rep[S] for every subset S of the 2k letters: the least subset
     whose join has the same evaluation vector as S over the spec's
     generators (rep[0] = 0 pads the empty subset).
 
-    Cached by the generators' + tables and squares (_closed_form_key)
-    and rank, so specs that differ only in label, and a spec and its
-    dual, share an entry. An entry holds 4^k ints, and least recently
-    used entries leave first once the entries together hold more than
-    _CLOSED_FORM_CACHE_CELLS; classification alone asks for the ten
-    standard specs at ranks up to 5, 13,640 ints. No budget is checked
-    here: callers check (4^k - 1) x width cells first (see
-    _check_cell_budget).
+    A spec whose generators' keys (_closed_form_key) form the same set
+    as one of the ten standard specs' gets rep by rule, in O(4^k): rep[S]
+    is the least subset with the same invariant (_INVARIANTS, _rule).
+    Duals share the keys, so they are covered too. Every other spec,
+    such as the merged join specs of build_lattice, gets rep by
+    evaluating the 4^k - 1 joins over its generators (_evaluated_form),
+    which stays the tests' reference for the rules. The rules hold at
+    every rank:
+    - soundness: a row-constant generator with xy = f(x) sends the join
+      of S to sum_{i in A} a_i + sum_{i in B} f(a_i). L2 has f = id, so
+      the value reads U; N2 has f constant at its bottom, so it reads
+      A; T2 has f constant at its top, so it reads A when e = 0 and is
+      the top when e = 1; S58 has a + f(a) = f(a), so it reads B and U;
+      the trivial algebra reads nothing, and S4_475 at most (A, B).
+      Generators act componentwise, so equal invariants give equal
+      joins over the spec's generators.
+    - separation: two subsets with different invariants differ in A, B
+      or U at some i, or in e. Sending x_i to x and every other variable
+      to y (all of them to x, for e) maps them to two subsets of
+      {x, y, xx, yy} whose invariants still differ, and at rank 2 the
+      rule equals evaluation (tests pin it at ranks 1-5), so some
+      generator tells the two apart.
+    So the kernel of the invariant is the k-variable theory of the
+    spec, and rep its closed form. The same two steps show R = V(S4_475)
+    at every rank: R's invariant (A, B) is S itself, and S4_475
+    separates the 15 subsets at rank 2.
+
+    Cached by the generators' keys (_closed_form_key) and rank, so
+    specs that differ only in label, and a spec and its dual, share an
+    entry. An entry holds 4^k ints, and least recently used entries
+    leave first once the entries together hold more than
+    _CLOSED_FORM_CACHE_CELLS; classification at order 6 asks for the
+    ten standard specs at rank 6, 40,960 ints. No budget is checked
+    here: callers check it first (_closed_route, _check_cell_budget).
 
     Nor is the spec checked: rep is the closed form of F_R(k) only when
     every generator lies in R, or of its dual only when every one lies
@@ -721,15 +826,38 @@ def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
     if rep is not None:
         _closed_forms.move_to_end(key)
         return rep
-    joins = _letter_joins(_Vectors(spec.generators, k))
-    first: dict = {}
-    rep = tuple(first.setdefault(vec, subset) for subset, vec in enumerate(joins))
+    invariant = _rule(spec)
+    if invariant is None:
+        rep = _evaluated_form(spec.generators, k)
+    else:
+        rep = _rule_form(invariant, k)
     _closed_forms[key] = rep
     cells = sum(map(len, _closed_forms.values()))
     while cells > _CLOSED_FORM_CACHE_CELLS:
         _key, old = _closed_forms.popitem(last=False)
         cells -= len(old)
     return rep
+
+
+def _rule_form(invariant, k: int) -> tuple[int, ...]:
+    """rep by rule: the least subset with the same invariant of
+    (A, B, U, e) (see _closed_form)."""
+    low = (1 << k) - 1
+    first: dict = {}
+    return (0, *(
+        first.setdefault(invariant(s & low, s >> k, (s | s >> k) & low, s > low), s)
+        for s in range(1, 4**k)
+    ))
+
+
+def _evaluated_form(generators, k: int) -> tuple[int, ...]:
+    """rep by evaluation: the least subset with the same evaluation
+    vector over the generators (see _closed_form)."""
+    first: dict = {}
+    return tuple(
+        first.setdefault(vec, subset)
+        for subset, vec in enumerate(_letter_joins(_Vectors(generators, k)))
+    )
 
 
 def _letter_joins(vectors: _Vectors) -> list:
@@ -805,14 +933,14 @@ def _check_closed_form(uni: _Universe, rep: tuple[int, ...], label: str) -> None
 
 
 def _check_cell_budget(specs, k: int) -> None:
-    """Raise ResourceBudgetError when the widest spec's closed form at
-    rank k, (4^k - 1) x width vector cells, exceeds DEFAULT_CELL_LIMIT."""
-    width = max(sum(g.order**k for g in s.generators) for s in specs)
-    if (4**k - 1) * width > DEFAULT_CELL_LIMIT:
-        raise ResourceBudgetError(
-            f"closed-form vectors of {4**k - 1} joins x {width} entries "
-            "exceed the cell budget"
-        )
+    """Raise ResourceBudgetError when some spec's closed form at rank k
+    exceeds DEFAULT_CELL_LIMIT cells: 4^k for a form built by rule,
+    (4^k - 1) x width vector cells for one built by evaluation (see
+    _closed_form)."""
+    for s in specs:
+        cells = 4**k if _rule(s) else (4**k - 1) * sum(g.order**k for g in s.generators)
+        if cells > DEFAULT_CELL_LIMIT:
+            raise ResourceBudgetError(f"closed form of {cells} cells exceeds the cell budget")
 
 
 def holds_in(spec: VarietySpec, ident: Identity | str) -> bool:
@@ -825,7 +953,9 @@ def holds_in(spec: VarietySpec, ident: Identity | str) -> bool:
     representative in the closed form of rank k. Raises ValueError for
     a spec outside R (the dual shares its closed form, but a word there
     reduces by its last letter), and ResourceBudgetError before any
-    vector is built when the closed form would exceed the cell budget.
+    other work when the closed form would exceed the cell budget: 4^k
+    cells for a form built by rule, (4^k - 1) x width built by
+    evaluation (see _check_cell_budget).
     """
     if isinstance(ident, str):
         ident = parse_identity(ident)
@@ -870,12 +1000,16 @@ def _subset_term(s: int, k: int) -> TermNF:
     return TermNF((_variable(b % k),) * (1 + b // k) for b in range(2 * k) if s >> b & 1)
 
 
-def _leq(specs, cell_limit: int = DEFAULT_CELL_LIMIT) -> tuple[tuple[bool, ...], ...]:
+def _leq(specs, cell_limit: int, join_values: dict) -> tuple[tuple[bool, ...], ...]:
     """leq[i][j] iff each generator of specs[i] is a member of
     V(specs[j]); the diagonal holds without a test. `member` answers
     each (generator, spec) question once, however many specs share the
-    generator; inside R or its dual it builds no free algebra."""
-    contains = lru_cache(maxsize=None)(lambda j, g: member(g, specs[j], cell_limit).member)
+    generator; inside R or its dual it builds no free algebra. Its
+    calls share `join_values`, a dict each caller makes afresh, so each
+    generator's subset join values are computed once per call."""
+    contains = lru_cache(maxsize=None)(
+        lambda j, g: member(g, specs[j], cell_limit, join_values).member
+    )
     return tuple(
         tuple(i == j or all(contains(j, g) for g in s.generators) for j in range(len(specs)))
         for i, s in enumerate(specs)
@@ -890,7 +1024,7 @@ def _standard():
     specs = tuple(standard_subvariety_specs())
     if not all(_in_r(g) for s in specs for g in s.generators):
         raise ValueError("a standard spec falsifies xy = xz")
-    return specs, _leq(specs), _pattern_index(specs)
+    return specs, _leq(specs, DEFAULT_CELL_LIMIT, {}), _pattern_index(specs)
 
 
 class ClassificationError(ValueError):
@@ -927,13 +1061,16 @@ def classify_generated(a: FiniteAlgebra) -> str:
     under x_i -> a_i for every S: sound and complete, but only for
     candidates and specs inside R. The order that picks the least such V
     comes from the same test (see _standard), so even a cold call builds
-    no closure. The widest spec's (4^k - 1) x width vector cells are
-    checked against DEFAULT_CELL_LIMIT before any vector is built.
+    no closure. The ten closed forms are built by rule (see
+    _closed_form), and their 4^k cells are checked against
+    DEFAULT_CELL_LIMIT before any other work (_check_cell_budget).
     """
     a.validate()
     if not _in_r(a):
         raise ValueError("classification requires an algebra satisfying xy = xz")
     specs, leq, by_pattern = _standard()
+    k = a.order
+    _check_cell_budget(specs, k)
     pattern = _pattern((a,))
     found = by_pattern.get(pattern)
     if found is None:
@@ -943,8 +1080,6 @@ def classify_generated(a: FiniteAlgebra) -> str:
             a,
         )
     label = specs[found].label
-    k = a.order
-    _check_cell_budget(specs, k)
     values = _join_values(a)
     containing = [
         i

@@ -52,6 +52,8 @@ FALLBACK_PINS = "tests/test_derive.py::test_fallback_proofs_are_pinned"
 CHAIN_PINS = "tests/test_derive.py::test_chain_proofs_are_pinned"
 FIRST_PIECES = "tests/test_derive.py::test_word_memo_keeps_the_first_piece_of_each_replacement_set"
 REFERENCE = "tests/test_derive.py::test_successors_match_the_reference_generator"
+RULES = "tests/test_variety.py::test_rule_built_closed_forms_equal_evaluation"
+REPLAYED = "tests/test_variety.py::test_replayed_universe_equals_the_closure"
 # the lines of `_Search.successors` between its cache lookup and its fill
 CACHE_FILL = """\
         if cached is None:
@@ -112,6 +114,27 @@ MUTANTS = (
         "return rep[u[0] | v[0]], v[1], u[1]",
         "return rep[u[0] | v[0]], u[1], v[1]",
         ("tests/test_variety.py::test_member_matches_reference_walk_on_all_algebras_up_to_order_3",),
+    ),
+    Mutant(
+        "V(L2)'s invariant U replaced by A",
+        VARIETY,
+        "lambda a, b, u, e: u,  # V(L2)",
+        "lambda a, b, u, e: a,  # V(L2)",
+        (RULES,),
+    ),
+    Mutant(
+        "V(S58)'s invariant (B, U) replaced by (A, U)",
+        VARIETY,
+        "lambda a, b, u, e: (b, u),  # V(S58)",
+        "lambda a, b, u, e: (a, u),  # V(S58)",
+        (RULES,),
+    ),
+    Mutant(
+        "dual fill reads the square of the left factor",
+        VARIETY,
+        "self.mul_tab = (tuple(squares),) * n",
+        "self.mul_tab = tuple((p,) * n for p in squares)",
+        (REPLAYED,),
     ),
     Mutant(
         "size bound with the keep and replace bases swapped",

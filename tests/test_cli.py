@@ -5,6 +5,8 @@ import hashlib
 import inspect
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -228,16 +230,33 @@ def test_classify(capsys):
     assert "V(S58)" in out
 
 
-def test_classify_order_6_exceeds_budget(tmp_path, capsys):
+def _row_constant_file(tmp_path, *factors):
+    """L2 times the last row-constant algebra of order 3, times the named
+    further factors, written to an algebra file."""
     from aisemiring import catalog
     from aisemiring.algebra import direct_product
     from aisemiring.enumeration import enumerate_row_constant
     from aisemiring.fileformat import dumps
 
-    a = direct_product(catalog.get("L2"), enumerate_row_constant(3).items[-1])
-    path = tmp_path / "order6.alg"
+    a = enumerate_row_constant(3).items[-1]
+    for name in ("L2", *factors):
+        a = direct_product(catalog.get(name), a)
+    path = tmp_path / f"order{a.order}.alg"
     path.write_text(dumps(a))
-    code, out, err = run(capsys, "classify", "--algebra", str(path))
+    return str(path)
+
+
+def test_classify_order_6_prints_its_label(tmp_path, capsys):
+    # the order-3 factor, a product constant at the bottom, generates V(N2),
+    # so L2 times it generates the join V(L2,N2)
+    code, out, err = run(capsys, "classify", "--algebra", _row_constant_file(tmp_path))
+    assert (code, out, err) == (0, "L2x? generates V(L2,N2)\n", "")
+
+
+def test_classify_over_the_budget_exits_2(tmp_path, capsys):
+    # order 12: the ten rule-built closed forms hold 4^12 cells each
+    path = _row_constant_file(tmp_path, "L2")
+    code, out, err = run(capsys, "classify", "--algebra", path)
     assert code == 2
     assert out == ""
     assert err.startswith("resource budget exceeded: ")
@@ -509,3 +528,40 @@ def test_classify_finding_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "FINDING: S58 matches no listed variety\n"
+
+
+# one process runs these in turn; each must print what a fresh process
+# prints: a usage error, a subcommand's help, two subcommands and the
+# first one again
+ONE_PROCESS_ARGVS = (
+    ("classify", "--algebra", "builtin:S58"),
+    ("member", "--algebra", "L2"),
+    ("free", "--help"),
+    ("lattice", "--format", "json"),
+    ("classify", "--algebra", "builtin:S58"),
+)
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    # argparse wraps help text at $COLUMNS, so both sides get the same width
+    monkeypatch.setenv("COLUMNS", "80")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in ONE_PROCESS_ARGVS:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "aisemiring.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode,
+            fresh.stdout,
+            fresh.stderr,
+        ), argv
+    assert cli._parser() is cli._parser()

@@ -569,10 +569,14 @@ def test_budget_errors_are_not_answers():
         free_algebra(R_SPEC, 2, cell_limit=2 * 16)  # two vectors of width 16
 
 
-def test_cold_closed_form_free_algebra_computes_the_letter_joins_twice(monkeypatch):
-    # once for the closed form and once for the universe, whose joins the
-    # check reads instead of computing them a third time; with the closed
-    # form cached only the universe computes them
+def test_cold_closed_form_free_algebra_computes_the_letter_joins_once_by_rule_twice_by_evaluation(
+    monkeypatch,
+):
+    # a standard spec's closed form is built by rule, so only the universe
+    # computes the joins, which its check reads; a spec the rules do not
+    # cover (V(S58,N2) is R, but not by its generators) computes them once
+    # more for its closed form. With the closed form cached only the
+    # universe computes them
     calls = []
     letter_joins = variety._letter_joins
 
@@ -582,10 +586,14 @@ def test_cold_closed_form_free_algebra_computes_the_letter_joins_twice(monkeypat
 
     monkeypatch.setattr(variety, "_letter_joins", counted)
     monkeypatch.setattr(variety, "_closed_forms", OrderedDict())
-    order = free_algebra(R_SPEC, 3).algebra.order
-    assert len(calls) == 2
-    assert free_algebra(R_SPEC, 3).algebra.order == order
-    assert len(calls) == 3
+    uncovered = spec("V(S58,N2)", "S58", "N2")
+    assert variety._rule(R_SPEC) is not None and variety._rule(uncovered) is None
+    for s, cold in ((R_SPEC, 1), (uncovered, 2)):
+        calls.clear()
+        order = free_algebra(s, 3).algebra.order
+        assert len(calls) == cold, s.label
+        assert free_algebra(s, 3).algebra.order == order == 63
+        assert len(calls) == cold + 1, s.label
 
 
 def test_check_closed_form_rejects_a_corrupted_rep():
@@ -681,16 +689,24 @@ def test_classification_builds_no_closure(monkeypatch):
         classify_generated(a)
 
 
-def test_classification_budget_at_order_6_is_raised_before_any_vector(monkeypatch):
-    a = direct_product(g("L2"), enumerate_row_constant(3).items[-1])
-    assert a.order == 6 and satisfies(a, "xy = xz").holds
-    variety._standard()
-
+def _refuse_closed_form_work(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a vector was built")
+        raise AssertionError("work began before the budget check")
 
+    for name in ("_pattern", "_join_values", "_rule_form", "_evaluated_form"):
+        monkeypatch.setattr(variety, name, refuse)
     monkeypatch.setattr(variety._Vectors, "__init__", refuse)
-    with pytest.raises(ResourceBudgetError, match="cell budget"):
+
+
+def test_classification_budget_is_raised_before_any_work(monkeypatch):
+    # the ten closed forms are built by rule, 4^k cells each: order 12 is
+    # the first over the default budget
+    a = direct_product(g("L2"), direct_product(g("L2"), enumerate_row_constant(3).items[-1]))
+    assert a.order == 12 and satisfies(a, "xy = xz").holds
+    assert 4**11 <= DEFAULT_CELL_LIMIT < 4**12
+    variety._standard()
+    _refuse_closed_form_work(monkeypatch)
+    with pytest.raises(ResourceBudgetError, match="closed form of 16777216 cells exceeds the cell budget"):
         classify_generated(a)
 
 
@@ -724,12 +740,17 @@ def test_holds_in_rejects_specs_outside_r():
 
 
 def test_holds_in_budget_is_raised_before_any_vector(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a vector was built")
-
-    monkeypatch.setattr(variety._Vectors, "__init__", refuse)
-    with pytest.raises(ResourceBudgetError, match="cell budget"):
-        holds_in(R_SPEC, "x1 + x2 + x3 + x4 + x5 + x6 + x7 = x1")
+    # seven variables fit R's rule-built closed form, 4^7 cells, but not
+    # the evaluated one of a spec the rules do not cover, (4^7 - 1) x
+    # (4^7 + 2^7) cells; twelve variables exceed 4^k too
+    seven = "x1 + x2 + x3 + x4 + x5 + x6 + x7 = x1"
+    assert not holds_in(R_SPEC, seven)
+    twelve = " + ".join(f"x{i}" for i in range(1, 13)) + " = x1"
+    variety._rules()
+    _refuse_closed_form_work(monkeypatch)
+    for s, ident in ((spec("V(S4_475,L2)", "S4_475", "L2"), seven), (R_SPEC, twelve)):
+        with pytest.raises(ResourceBudgetError, match="cell budget"):
+            holds_in(s, ident)
 
 
 def _cached_cells():
@@ -770,6 +791,124 @@ def test_a_spec_and_its_dual_share_one_closed_form(k):
         rep = _closed_form(s, k)
         assert _closed_form(d, k) is rep, (s.label, k)
     assert len(variety._closed_forms) == 10
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_rule_built_closed_forms_equal_evaluation(k):
+    # the ten standard specs and their duals are covered by the rules, and
+    # evaluation stays the reference
+    for s in standard_subvariety_specs() + _dual_specs():
+        invariant = variety._rule(s)
+        assert invariant is not None, s.label
+        rule = variety._rule_form(invariant, k)
+        assert rule == variety._evaluated_form(s.generators, k), (s.label, k)
+        assert _closed_form(s, k) == rule, (s.label, k)
+
+
+def test_rules_cover_only_the_generator_sets_of_the_ten():
+    # a merged join spec, a relabelled generator and an extra generator
+    # all keep evaluation, even where the variety is one of the ten
+    covered = [
+        spec("V(N2,L2)", "N2", "L2"),
+        spec("V(L2,L2)", "L2", "L2"),
+        spec("V(R2,T2)", "R2", "T2"),
+    ]
+    swapped = relabel(g("L2"), [1, 0])
+    uncovered = [
+        spec("V(L2,N2,S58)", "L2", "N2", "S58"),
+        spec("V(S58,N2)", "S58", "N2"),
+        spec("V(L2,T)", "L2", "trivial"),
+        VarietySpec("V(L2')", (swapped,)),
+    ]
+    assert all(variety._rule(s) is not None for s in covered)
+    assert all(variety._rule(s) is None for s in uncovered)
+    assert compare(uncovered[1], R_SPEC) == compare(uncovered[3], spec("V(L2)", "L2")) == EQUAL
+
+
+# classes of F_V(k) by the number of values of V's invariant
+CLASS_COUNTS = {
+    "T": lambda k: 1,
+    "V(L2)": lambda k: 2**k - 1,
+    "V(N2)": lambda k: 2**k,
+    "V(T2)": lambda k: 2**k,
+    "V(L2,N2)": lambda k: 3**k - 1,
+    "V(N2,T2)": lambda k: 2 ** (k + 1) - 1,
+    "V(L2,T2)": lambda k: 2 ** (k + 1) - 2,
+    "V(L2,N2,T2)": lambda k: 3**k + 2**k - 2,
+    "V(S58)": lambda k: 3**k - 1,
+    "R": lambda k: 4**k - 1,
+}
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_rule_built_class_counts_follow_the_formulas(k):
+    counts = {
+        s.label: len(set(variety._rule_form(variety._rule(s), k))) - 1
+        for s in standard_subvariety_specs()
+    }
+    assert counts == {label: count(k) for label, count in CLASS_COUNTS.items()}
+    if k == 6:
+        assert list(counts.values()) == [1, 63, 64, 64, 728, 127, 126, 791, 728, 4095]
+
+
+def test_the_four_generators_have_the_facts_the_rules_rest_on():
+    # each is row-constant, xy = f(x) with f(x) = xx, so the join of a
+    # subset S is sum_{i in A} a_i + sum_{i in B} f(a_i)
+    def f(a):
+        return [a.mul[x][x] for x in range(a.order)]
+
+    for name in ("L2", "N2", "T2", "S58"):
+        assert variety._in_r(g(name)), name
+    l2, n2, t2, s58 = (g(n) for n in ("L2", "N2", "T2", "S58"))
+    assert f(l2) == list(range(l2.order))  # f = id: the value reads U
+    assert f(n2) == [_bottoms(n2)[0]] * n2.order  # constant at the bottom: A
+    assert f(t2) == [_top(t2)] * t2.order  # constant at the top: A, or e
+    # a + f(a) = f(a): the value reads B and U
+    assert all(s58.add[x][y] == y for x, y in enumerate(f(s58)))
+    # and S58 is none of the other three shapes
+    assert f(s58) != list(range(s58.order)) and len(set(f(s58))) > 1
+
+
+def test_build_lattice_computes_each_generators_join_values_once(monkeypatch):
+    # per call, not per process: a second call computes them again
+    calls = Counter()
+    join_values = variety._join_values
+
+    def counted(a):
+        calls[a] += 1
+        return join_values(a)
+
+    monkeypatch.setattr(variety, "_join_values", counted)
+    for specs in (standard_subvariety_specs(), _dual_specs()):
+        generators = {x for s in specs for x in s.generators}
+        assert len(generators) == 6
+        for times in (1, 2):
+            calls.clear()
+            for _ in range(times):
+                build_lattice(specs)
+            assert calls == Counter(dict.fromkeys(generators, times))
+
+
+def test_order_6_sample_classifies_to_pinned_labels():
+    # every hundredth algebra of the order-6 row-constant stream, as given
+    # and relabelled; the label counts of the whole pool are checked in CI
+    pool = enumerate_row_constant(6).items
+    assert len(pool) == 2549
+    rng = random.Random(6)
+    labels = []
+    for a in pool[::100]:
+        label = classify_generated(a)
+        assert classify_generated(relabel(a, rng.sample(range(6), 6))) == label
+        labels.append(label)
+    assert labels == ORDER_6_SAMPLE_LABELS
+
+
+ORDER_6_SAMPLE_LABELS = [
+    "V(T2)", "V(L2,N2,T2)", "V(L2,N2,T2)", "R", "V(S58)", "V(L2,N2,T2)",
+    "R", "V(S58)", "R", "V(S58)", "V(S58)", "V(T2)", "R", "V(S58)", "R",
+    "V(L2,N2)", "R", "V(L2,N2)", "V(L2,T2)", "V(S58)", "V(N2,T2)", "V(S58)",
+    "R", "V(L2,N2)", "V(L2,N2,T2)", "R",
+]
 
 
 def test_rank_9_closed_form_leaves_the_cache_within_its_cap():
