@@ -34,9 +34,17 @@ them in every state where w recurs; a state then only forms its next
 word sets. Every piece of w leaves the same rest S - {w}, so a piece
 whose replacement set is {w}, or repeats the replacement set of an
 earlier piece of the pair, could only reach states already emitted or
-skipped; the memo keeps neither. `Proof.nodes` still counts the states
-whose successors the search generated, so the memo changes neither
-proofs nor node counts.
+skipped; the memo keeps neither.
+
+`Proof.nodes` counts the states the search expanded: those whose
+successors it generated, or ruled out from reaching the goal in one
+step. A successor of S is (S - M) | R or S | R, with at most m matched
+words M (m: the most words on either side of a basis identity). The
+goal is (S - M) | R only if S - goal lies inside M, and S | R only if
+S - goal is empty, so it is one step from S only if |S - goal| <= m.
+The bound is exact and the count is taken at the same point either
+way, so neither the memo nor the bound changes proofs, node counts or
+where a node budget runs out.
 """
 
 from __future__ import annotations
@@ -360,28 +368,48 @@ class _Search:
     successor lists per state, `_successors`' per-(rule, word) memo, and
     the count of states it expanded. Both caches live and die with the
     search. `chain` takes terms and returns proof steps; the states in
-    between are never `TermNF`s."""
+    between are never `TermNF`s.
+
+    A state is expanded when its rewrites are generated or when, with
+    one step left, it has more than `reach` (m) words outside the goal:
+    every successor is (S - M) | R or S | R with |M| <= m, and either
+    one equals the goal only if S - goal lies inside M. `_count` counts
+    each state once, however it is first expanded; `_succ_cache` holds
+    None for a counted state whose list is not built yet, and a later
+    pass or goal that needs the list builds it without a second count.
+    """
 
     def __init__(self, rules, candidates, size_cap, node_budget):
         self.rules = rules
         self.candidates = candidates
         self.size_cap = size_cap
         self.node_budget = node_budget
+        self.reach = max((len(rule.src.words) for rule in rules), default=0)
         self.nodes = 0
-        self._succ_cache: dict[frozenset[Word], list] = {}
+        self._succ_cache: dict[frozenset[Word], list | None] = {}
         self._word_memo: dict[tuple[int, Word], tuple[list, list]] = {}
+
+    def _count(self, state: frozenset[Word]):
+        """Count state as expanded, the first time the search expands it."""
+        if state not in self._succ_cache:
+            self.nodes += 1
+            if self.node_budget is not None and self.nodes > self.node_budget:
+                raise ResourceBudgetError("node budget exhausted")
+            self._succ_cache[state] = None
 
     def successors(self, state: frozenset[Word]):
         cached = self._succ_cache.get(state)
         if cached is None:
-            self.nodes += 1
-            if self.node_budget is not None and self.nodes > self.node_budget:
-                raise ResourceBudgetError("node budget exhausted")
+            self._count(state)
             cached = _successors(
                 state, self.rules, self.candidates, self.size_cap, self._word_memo
             )
             self._succ_cache[state] = cached
         return cached
+
+    def _rules_out(self, state: frozenset[Word], goal: frozenset[Word]) -> bool:
+        """Whether no single rewrite of state can give goal (see above)."""
+        return len(state - goal) > self.reach
 
     def chain(self, start: TermNF, goal: TermNF, depth: int):
         """Shortest rewrite chain start -> goal, as a list of steps."""
@@ -397,6 +425,9 @@ class _Search:
 
     def _dfs(self, state, goal, remaining, best_seen):
         """A path of (state, next_state, edge) links to goal, or None."""
+        if remaining <= 1 and self._rules_out(state, goal):
+            self._count(state)
+            return None
         successors = self.successors(state)
         for new, edge in successors:
             if new == goal:

@@ -691,14 +691,23 @@ def _pattern(algebras) -> tuple[bool, ...]:
     )
 
 
-def _pattern_index(specs) -> dict[tuple[bool, ...], int]:
-    """Spec index by generator pattern; two specs sharing a pattern raise
-    ValueError rather than overwrite each other."""
+@lru_cache(maxsize=1)
+def _standard_patterns() -> tuple[tuple[VarietySpec, tuple[bool, ...]], ...]:
+    """The ten standard specs, each with its generators' _pattern: the one
+    table that _rules() and _standard() both read, so a cold process
+    computes each pattern once. It reads neither of them."""
+    return tuple((s, _pattern(s.generators)) for s in standard_subvariety_specs())
+
+
+def _pattern_index(table) -> dict[tuple[bool, ...], int]:
+    """Spec index by generator pattern, from (spec, pattern) pairs; two
+    specs sharing a pattern raise ValueError rather than overwrite each
+    other."""
     index: dict[tuple[bool, ...], int] = {}
-    for i, s in enumerate(specs):
-        j = index.setdefault(_pattern(s.generators), i)
+    for i, (s, pattern) in enumerate(table):
+        j = index.setdefault(pattern, i)
         if j != i:
-            raise ValueError(f"specs {specs[j].label!r} and {s.label!r} share a pattern")
+            raise ValueError(f"specs {table[j][0].label!r} and {s.label!r} share a pattern")
     return index
 
 
@@ -762,11 +771,11 @@ def _closed_form_key(spec: VarietySpec) -> tuple:
 @lru_cache(maxsize=1)
 def _rules() -> dict:
     """The invariant of each standard spec by the set of its generators'
-    keys. Built from standard_subvariety_specs() and _pattern, not from
-    _standard(), whose inclusion order reads closed forms."""
+    keys. Built from _standard_patterns(), not from _standard(), whose
+    inclusion order reads closed forms."""
     return {
-        frozenset(_closed_form_key(s)): _INVARIANTS[_pattern(s.generators)]
-        for s in standard_subvariety_specs()
+        frozenset(_closed_form_key(s)): _INVARIANTS[pattern]
+        for s, pattern in _standard_patterns()
     }
 
 
@@ -1021,10 +1030,11 @@ def _standard():
     """The ten standard specs, their inclusion order (all of them are in
     R, so _leq builds no closure) and pattern index. Being in R is
     checked here, since classify_generated reads their closed forms."""
-    specs = tuple(standard_subvariety_specs())
+    table = _standard_patterns()
+    specs = tuple(s for s, _ in table)
     if not all(_in_r(g) for s in specs for g in s.generators):
         raise ValueError("a standard spec falsifies xy = xz")
-    return specs, _leq(specs, DEFAULT_CELL_LIMIT, {}), _pattern_index(specs)
+    return specs, _leq(specs, DEFAULT_CELL_LIMIT, {}), _pattern_index(table)
 
 
 class ClassificationError(ValueError):

@@ -54,12 +54,14 @@ FIRST_PIECES = "tests/test_derive.py::test_word_memo_keeps_the_first_piece_of_ea
 REFERENCE = "tests/test_derive.py::test_successors_match_the_reference_generator"
 RULES = "tests/test_variety.py::test_rule_built_closed_forms_equal_evaluation"
 REPLAYED = "tests/test_variety.py::test_replayed_universe_equals_the_closure"
-# the lines of `_Search.successors` between its cache lookup and its fill
+FRONTIER = "tests/test_derive.py::test_the_frontier_bound_rules_out_only_unreachable_goals"
+REACH = "tests/test_derive.py::test_reach_is_the_most_words_on_a_side"
+BUDGET = "tests/test_derive.py::test_node_budget_counts_expanded_states_exactly"
+# the lines of `_Search.successors` between its cache lookup and its fill,
+# among them its call of `_count`, the search's one counting point
 CACHE_FILL = """\
         if cached is None:
-            self.nodes += 1
-            if self.node_budget is not None and self.nodes > self.node_budget:
-                raise ResourceBudgetError("node budget exhausted")
+            self._count(state)
             cached = _successors(
                 state, self.rules, self.candidates, self.size_cap, self._word_memo
             )
@@ -172,6 +174,27 @@ MUTANTS = (
         + CACHE_FILL
         + "self._succ_cache[frozenset(map(len, state))] = cached",
         (REFUTED_NODES, CHAIN_PINS),
+    ),
+    Mutant(
+        "frontier bound written >=",
+        DERIVE,
+        "return len(state - goal) > self.reach",
+        "return len(state - goal) >= self.reach",
+        (FRONTIER, REACH),
+    ),
+    Mutant(
+        "ruled-out state left uncounted",
+        DERIVE,
+        "if remaining <= 1 and self._rules_out(state, goal):\n            self._count(state)\n",
+        "if remaining <= 1 and self._rules_out(state, goal):\n",
+        (REFUTED_NODES, BUDGET),
+    ),
+    Mutant(
+        "reach taken as the fewest words on a side",
+        DERIVE,
+        "self.reach = max((len(rule.src.words) for rule in rules), default=0)",
+        "self.reach = min((len(rule.src.words) for rule in rules), default=0)",
+        (REACH,),
     ),
 )
 

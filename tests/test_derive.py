@@ -586,9 +586,12 @@ def test_node_budget_counts_expanded_states_exactly(basis, target, depth, nodes)
 def test_successors_match_the_reference_generator(
     monkeypatch, basis, target, depth, nodes
 ):
-    # one level shallower than the benchmark keeps the reference cheap
+    # one level shallower than the benchmark keeps the reference cheap.
+    # The cache holds every state the search counted, None for those whose
+    # list the frontier bound spared, so each of them is compared here
     search = _recorded_search(monkeypatch, basis, target, depth - 1)
     assert 0 < search.nodes < nodes
+    assert len(search._succ_cache) == search.nodes
     for state in search._succ_cache:
         term = TermNF(state)
         assert _generated(
@@ -596,6 +599,58 @@ def test_successors_match_the_reference_generator(
         ) == reference_successors(
             term, search.rules, search.candidates, search.size_cap
         )
+
+
+def _ruled_out_pairs(monkeypatch, runs):
+    """Each distinct (state, goal) pair, with its search, that the
+    frontier bound rules out while `runs` calls derive_bounded."""
+    pairs = {}
+
+    class Recording(derive._Search):
+        def _rules_out(self, state, goal):
+            out = super()._rules_out(state, goal)
+            if out:
+                pairs.setdefault((state, goal), self)
+            return out
+
+    monkeypatch.setattr(derive, "_Search", Recording)
+    runs()
+    return pairs
+
+
+def test_the_frontier_bound_rules_out_only_unreachable_goals(monkeypatch):
+    # a state with more than `reach` words outside the goal is ruled out
+    # with one step left: the goal must then not be among its rewrites,
+    # by the reference generator. The refuted searches are run one level
+    # shallower than the benchmark, as above; the chain searches reach
+    # their goals, so a bound that is too tight would drop their last link
+    def runs():
+        for basis, target, depth, _ in REFUTED:
+            derive_bounded(basis, target, depth=depth - 1, node_budget=None)
+        for basis, target, depth in CHAIN_DIGESTS:
+            assert derive_bounded(list(basis), target, depth=depth) is not None
+
+    pairs = _ruled_out_pairs(monkeypatch, runs)
+    assert len(pairs) > 100
+    for (state, goal), search in pairs.items():
+        assert len(state - goal) > search.reach
+        config = (search.rules, search.candidates, search.size_cap)
+        goal_term = TermNF(goal)
+        assert all(new != goal_term for new, _ in reference_successors(TermNF(state), *config))
+
+
+def test_reach_is_the_most_words_on_a_side():
+    # x + y = xy matches two words on its left and one on its right; the
+    # goal ab is one step from a + b, whose two words both leave, so the
+    # bound must allow two
+    proof = derive_bounded(["x + y = xy"], "a + b = ab", depth=1)
+    assert proof.rewrite_chain() == [parse_identity("a + b = ab")]
+    assert proof.nodes == 1
+
+
+def test_empty_basis_derives_nothing():
+    # no rules: reach is 0, and every state but the goal is ruled out
+    assert derive_bounded([], "xy = yx", depth=3) is None
 
 
 def _reference_word_pieces(rule, w, candidates):
@@ -652,8 +707,8 @@ def test_word_memo_keeps_the_first_piece_of_each_replacement_set(
 def test_memoised_successors_match_memo_free_calls(monkeypatch, seed):
     # the per-(rule, word) memo is shared by every state of one search, so
     # nothing that depends on the state may leak into an entry: each
-    # cached list, down to the states expanded at full depth, must equal
-    # a memo-free call and, on small states, the reference generator.
+    # cached list must equal a memo-free call and, on small states (those
+    # the frontier bound spared included), the reference generator.
     # y = yy rewrites factor spans, x + yy = xx + yy has two-word sides,
     # and the random identities bring variables absent from one side.
     import random
@@ -675,12 +730,13 @@ def test_memoised_successors_match_memo_free_calls(monkeypatch, seed):
     for search in searches:
         for state, cached in search._succ_cache.items():
             config = (search.rules, search.candidates, search.size_cap)
-            assert cached == _successors(state, *config)
+            built = _successors(state, *config)
+            assert cached is None or cached == built
             if len(state) <= 3:
                 assert [
-                    (TermNF(new), _step(state, new, edge)) for new, edge in cached
+                    (TermNF(new), _step(state, new, edge)) for new, edge in built
                 ] == reference_successors(TermNF(state), *config)
-            for _, (rule, sigma, mode, *_rest) in cached:
+            for _, (rule, sigma, mode, *_rest) in built:
                 modes.add(mode)
                 fresh += not set(rule.dst.variables()) <= set(rule.src.variables())
                 several += len(rule.src.words) > 1

@@ -408,8 +408,34 @@ def test_generator_patterns_match_pinned_table():
 
 
 def test_specs_sharing_a_pattern_are_rejected():
+    specs = [spec("V(L2)", "L2"), spec("V(L2,T)", "L2", "trivial")]
     with pytest.raises(ValueError, match="'V\\(L2\\)' and 'V\\(L2,T\\)' share"):
-        _pattern_index([spec("V(L2)", "L2"), spec("V(L2,T)", "L2", "trivial")])
+        _pattern_index([(s, _pattern(s.generators)) for s in specs])
+
+
+def test_a_cold_process_computes_each_standard_pattern_once(monkeypatch):
+    # _rules() and _standard() read one pattern table, and _rules() never
+    # calls _standard(), whose inclusion order reads closed forms
+    calls = []
+    pattern = variety._pattern
+
+    def counted(algebras):
+        calls.append(algebras)
+        return pattern(algebras)
+
+    def refuse():
+        raise AssertionError("_rules() called _standard()")
+
+    for cached in (variety._standard_patterns, variety._rules, variety._standard):
+        cached.cache_clear()
+    monkeypatch.setattr(variety, "_pattern", counted)
+    standard = variety._standard
+    monkeypatch.setattr(variety, "_standard", refuse)
+    variety._rules()
+    monkeypatch.setattr(variety, "_standard", standard)
+    specs, _, by_pattern = variety._standard()
+    assert len(calls) == len(specs) == 10
+    assert {specs[i].label: p for p, i in by_pattern.items()} == PINNED_PATTERNS
 
 
 def test_standard_order_comes_from_the_closed_form(monkeypatch):
