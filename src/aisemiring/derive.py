@@ -29,12 +29,13 @@ runs that checked rewrite on every step.
 
 A rule whose source is one word matches inside one summand w at a
 time, and its matches, substitutions and replacement words depend only
-on (rule, w). Each search memoises those pieces per pair and reuses
-them in every state where w recurs; a state then only forms its next
-word sets. Every piece of w leaves the same rest S - {w}, so a piece
-whose replacement set is {w}, or repeats the replacement set of an
-earlier piece of the pair, could only reach states already emitted or
-skipped; the memo keeps neither.
+on (rule, w). Each search memoises those pieces per pair, and the
+matches per (rule, subject word or factor), for reuse in every state
+where they recur; a state then only forms its next word sets. Every
+piece of w leaves the same rest S - {w}, so a piece whose replacement
+set is {w}, or repeats the replacement set of an earlier piece of the
+pair, could only reach states already emitted or skipped; the memo
+keeps neither.
 
 `Proof.nodes` counts the states the search expanded: those whose
 successors it generated, or ruled out from reaching the goal in one
@@ -242,35 +243,45 @@ def _image(words: Iterable[Word], sigma: dict[str, Word]) -> set[Word]:
     return {tuple(c for v in w for c in sigma[v]) for w in words}
 
 
-def _word_pieces(rule: _Rule, w: Word, candidates):
+def _rewrites(index: int, rule: _Rule, subject: Word, candidates, matches):
+    """(sigma, R) for each match of rule.src, one word, onto all of subject,
+    in match order, R the replacement words: memoised per (rule index,
+    subject) in `matches`. Pieces and edges share the sigmas; none mutates."""
+    key = (index, subject)
+    if key not in matches:
+        matches[key] = [
+            (full, frozenset(_image(rule.dst.words, full)))
+            for sigma in _match_word(rule.src.words[0], subject, {})
+            for full in _fresh_assignments(rule.fresh, sigma, candidates)
+        ]
+    return matches[key]
+
+
+def _word_pieces(index: int, rule: _Rule, w: Word, candidates, matches):
     """The rewrites of a one-word rule.src inside the summand w, as two
     lists of (sigma, mode, word, span, R, size of R) in the order
     `_successors` visits them: the whole-word matches, then the factor
     spans. R is the frozenset of replacement words. The matched set M is
     {w} for every piece, so none of this depends on the rest of the
-    state.
+    state. The matches onto w and onto each factor w[i:j] are read from
+    the `matches` memo (`_rewrites`): one factor recurs in many words.
 
     Every piece leaves the same rest S - {w}, so its states are
     (S - {w}) | R and S | R. A piece whose R is {w} reaches only S, and
     one whose R repeats that of an earlier piece, in visit order, reaches
     only states the earlier one emitted or skipped; both are dropped.
     """
-    pattern, fresh = rule.src.words[0], rule.fresh
     firsts = {frozenset((w,)): None}  # R -> the first piece with it
-    for sigma in _match_word(pattern, w, {}):
-        for full in _fresh_assignments(fresh, sigma, candidates):
-            replacement = frozenset(_image(rule.dst.words, full))
-            firsts.setdefault(replacement, (full, "summands", None, None, replacement))
+    for full, replacement in _rewrites(index, rule, w, candidates, matches):
+        firsts.setdefault(replacement, (full, "summands", None, None, replacement))
     for i in range(len(w)):
         # a span must host one nonempty factor per pattern variable
-        for j in range(i + len(pattern), len(w) + 1):
+        for j in range(i + len(rule.src.words[0]), len(w) + 1):
             if (i, j) == (0, len(w)):
                 continue  # whole-word spans are summand matches
-            for sigma in _match_word(pattern, w[i:j], {}):
-                for full in _fresh_assignments(fresh, sigma, candidates):
-                    image = _image(rule.dst.words, full)
-                    spliced = frozenset(w[:i] + u + w[j:] for u in image)
-                    firsts.setdefault(spliced, (full, "factor", w, (i, j), spliced))
+            for full, image in _rewrites(index, rule, w[i:j], candidates, matches):
+                spliced = frozenset(w[:i] + u + w[j:] for u in image)
+                firsts.setdefault(spliced, (full, "factor", w, (i, j), spliced))
     whole, factor = [], []
     for piece in firsts.values():
         if piece is not None:
@@ -279,7 +290,7 @@ def _word_pieces(rule: _Rule, w: Word, candidates):
     return whole, factor
 
 
-def _successors(state: frozenset[Word], rules, candidates, size_cap, memo=None):
+def _successors(state, rules, candidates, size_cap, memo=None, matches=None):
     """Deterministically ordered (next_state, edge) rewrites of state, a
     frozen word set; the next states are frozen word sets too.
 
@@ -295,12 +306,12 @@ def _successors(state: frozenset[Word], rules, candidates, size_cap, memo=None):
 
     When rule.src is one word, every match lies inside one summand w, so
     its pieces depend only on (rule, w). `_word_pieces` computes them
-    once per pair into `memo`, which a caller may keep across the states
-    of one search (same rules and candidates). Rules whose source has
-    several words are matched against the whole state.
+    once per pair into `memo`, from the per-(rule, subject) `matches`;
+    a caller may keep both across one search (same rules and candidates).
+    Rules whose source has several words are matched against the state.
     """
-    if memo is None:
-        memo = {}
+    memo = {} if memo is None else memo
+    matches = {} if matches is None else matches
     words = sorted(state, key=_word_key)
     size = sum(map(len, words))
     rests = [(w, state - {w}, size - len(w)) for w in words]
@@ -323,7 +334,7 @@ def _successors(state: frozenset[Word], rules, candidates, size_cap, memo=None):
             for w, rest, rest_size in rests:
                 key = (index, w)
                 if key not in memo:
-                    memo[key] = _word_pieces(rule, w, candidates)
+                    memo[key] = _word_pieces(index, rule, w, candidates, matches)
                 pieces.append((rest, rest_size, memo[key]))
             for part in (0, 1):  # whole-word matches first, then factor spans
                 for rest, rest_size, found in pieces:
@@ -365,8 +376,9 @@ def _step(state: frozenset[Word], new: frozenset[Word], edge) -> ProofStep:
 
 class _Search:
     """One iterative-deepening search over frozen word sets: its
-    successor lists per state, `_successors`' per-(rule, word) memo, and
-    the count of states it expanded. Both caches live and die with the
+    successor lists per state, `_successors`' per-(rule, word) memo
+    `_word_memo` and per-(rule, subject) match memo `_matches`, and the
+    count of states it expanded. The caches live and die with the
     search. `chain` takes terms and returns proof steps; the states in
     between are never `TermNF`s.
 
@@ -388,6 +400,7 @@ class _Search:
         self.nodes = 0
         self._succ_cache: dict[frozenset[Word], list | None] = {}
         self._word_memo: dict[tuple[int, Word], tuple[list, list]] = {}
+        self._matches: dict[tuple[int, Word], list] = {}
 
     def _count(self, state: frozenset[Word]):
         """Count state as expanded, the first time the search expands it."""
@@ -402,7 +415,8 @@ class _Search:
         if cached is None:
             self._count(state)
             cached = _successors(
-                state, self.rules, self.candidates, self.size_cap, self._word_memo
+                state, self.rules, self.candidates, self.size_cap,
+                self._word_memo, self._matches,
             )
             self._succ_cache[state] = cached
         return cached

@@ -46,6 +46,7 @@ ENUMERATION = "src/aisemiring/enumeration.py"
 VARIETY = "src/aisemiring/variety.py"
 ALGEBRA = "src/aisemiring/algebra.py"
 DERIVE = "src/aisemiring/derive.py"
+TERMS = "src/aisemiring/terms.py"
 CLOSURE_PATHS = "tests/test_variety.py::test_free_algebra_closure_route_on_both_vector_paths"
 REFUTED_NODES = "tests/test_derive.py::test_refuted_search_node_counts_are_pinned"
 FALLBACK_PINS = "tests/test_derive.py::test_fallback_proofs_are_pinned"
@@ -57,13 +58,17 @@ REPLAYED = "tests/test_variety.py::test_replayed_universe_equals_the_closure"
 FRONTIER = "tests/test_derive.py::test_the_frontier_bound_rules_out_only_unreachable_goals"
 REACH = "tests/test_derive.py::test_reach_is_the_most_words_on_a_side"
 BUDGET = "tests/test_derive.py::test_node_budget_counts_expanded_states_exactly"
+EVALUATION_BUDGET = "tests/test_variety.py::test_holds_in_cuts_the_evaluation_budget_exactly"
+END_OF_SIDE = "tests/test_terms.py::test_input_ending_inside_a_side_points_past_its_last_token"
+EMPTY_TERM = "tests/test_terms.py::test_empty_term_is_a_syntax_error_at_column_0"
 # the lines of `_Search.successors` between its cache lookup and its fill,
 # among them its call of `_count`, the search's one counting point
 CACHE_FILL = """\
         if cached is None:
             self._count(state)
             cached = _successors(
-                state, self.rules, self.candidates, self.size_cap, self._word_memo
+                state, self.rules, self.candidates, self.size_cap,
+                self._word_memo, self._matches,
             )
             """
 
@@ -188,6 +193,34 @@ MUTANTS = (
         "if remaining <= 1 and self._rules_out(state, goal):\n            self._count(state)\n",
         "if remaining <= 1 and self._rules_out(state, goal):\n",
         (REFUTED_NODES, BUDGET),
+    ),
+    Mutant(
+        "match memo keyed by the subject alone",
+        DERIVE,
+        "key = (index, subject)",
+        "key = subject",
+        (FIRST_PIECES, CHAIN_PINS, REFERENCE),
+    ),
+    Mutant(
+        "evaluation-form budget counts one subset too few",
+        VARIETY,
+        "(4**k - 1) * sum(g.order**k for g in s.generators)",
+        "(4**k - 2) * sum(g.order**k for g in s.generators)",
+        (EVALUATION_BUDGET,),
+    ),
+    Mutant(
+        "end of input placed two past the last token",
+        TERMS,
+        "where = toks[-1][2] + 1 if toks else 0",
+        "where = toks[-1][2] + 2 if toks else 0",
+        (END_OF_SIDE,),
+    ),
+    Mutant(
+        "end of an empty term placed at column 1",
+        TERMS,
+        "where = toks[-1][2] + 1 if toks else 0",
+        "where = toks[-1][2] + 1 if toks else 1",
+        (EMPTY_TERM,),
     ),
     Mutant(
         "reach taken as the fewest words on a side",

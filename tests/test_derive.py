@@ -16,6 +16,8 @@ from aisemiring.derive import (
     ProofStep,
     _apply_occurrence,
     _directed_rules,
+    _fresh_assignments,
+    _image,
     _match_summands,
     _match_word,
     _normalize_basis,
@@ -701,6 +703,35 @@ def test_word_memo_keeps_the_first_piece_of_each_replacement_set(
         assert len(set(replacements)) == len(replacements)
         assert frozenset([w]) not in replacements
     assert repeats > 0
+
+
+@pytest.mark.parametrize(("basis", "target", "depth", "nodes"), REFUTED)
+def test_match_memo_holds_the_rewrites_of_each_rule_and_subject(
+    monkeypatch, basis, target, depth, nodes
+):
+    # `_word_pieces` reads the matches of a one-word rule.src onto a whole
+    # word and onto each of its factor spans from one memo per search,
+    # keyed by (rule index, subject). Each entry must be every (sigma, R)
+    # of that pair in match order, whichever word first asked for it; and
+    # one factor recurs in many words, so the memo holds fewer entries
+    # than the subjects looked up: each word, then its factor spans
+    search = _recorded_search(monkeypatch, basis, target, depth)
+    for (index, subject), entry in search._matches.items():
+        rule = search.rules[index]
+        assert entry == [
+            (full, frozenset(_image(rule.dst.words, full)))
+            for sigma in _match_word(rule.src.words[0], subject, {})
+            for full in _fresh_assignments(rule.fresh, sigma, search.candidates)
+        ]
+    lookups = 0
+    for index, w in search._word_memo:
+        width = len(search.rules[index].src.words[0])
+        lookups += 1 + sum(
+            (i, j) != (0, len(w))
+            for i in range(len(w))
+            for j in range(i + width, len(w) + 1)
+        )
+    assert 0 < len(search._matches) < lookups
 
 
 @pytest.mark.parametrize("seed", range(4))

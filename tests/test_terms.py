@@ -80,6 +80,27 @@ def test_syntax_errors_carry_position():
         parse_identity("xY = z")
 
 
+@pytest.mark.parametrize(
+    ("text", "column"),
+    [("x = y +", 7), ("x + = y", 3), ("x = y*", 6)],
+)
+def test_input_ending_inside_a_side_points_past_its_last_token(text, column):
+    # a side that ends where a primary is due points one past its last
+    # token: for the left side, that is where the separator is
+    with pytest.raises(TermSyntaxError) as err:
+        parse_identity(text)
+    assert str(err.value) == f"unexpected end of input (column {column})"
+    assert err.value.position == column
+
+
+def test_empty_term_is_a_syntax_error_at_column_0():
+    # term_of passes an empty token list on; parse_identity never does
+    for text in ("", "   "):
+        with pytest.raises(TermSyntaxError) as err:
+            term_of(text)
+        assert str(err.value) == "unexpected end of input (column 0)"
+
+
 def test_words_sorted_by_length_then_lex():
     t = term_of("yyy + x + zz")
     assert t.words == (("x",), ("z", "z"), ("y", "y", "y"))

@@ -659,6 +659,22 @@ def test_cell_limit_cuts_exactly_at_size_times_width():
                     call(limit)
 
 
+def test_holds_in_cuts_the_evaluation_budget_exactly(monkeypatch):
+    # a spec with no rule gets its rank-k closed form by evaluation, which
+    # holds (4^k - 1) x width vector cells: that product is the least
+    # budget that admits it
+    join = spec("V(L2,S58)", "L2", "S58")
+    assert variety._rule(join) is None
+    k = 2
+    cells = (4**k - 1) * sum(a.order**k for a in join.generators)
+    assert cells == 15 * 13
+    monkeypatch.setattr(variety, "DEFAULT_CELL_LIMIT", cells)
+    assert holds_in(join, "xy = xx")
+    monkeypatch.setattr(variety, "DEFAULT_CELL_LIMIT", cells - 1)
+    with pytest.raises(ResourceBudgetError):
+        holds_in(join, "xy = xx")
+
+
 def test_closed_form_agrees_with_member_up_to_order_4():
     # the closure stays the oracle: every row-constant algebra of orders
     # 1-4 and a relabelling of each, against all ten specs
