@@ -268,11 +268,19 @@ def _product_law_checker(n: int, add: Table) -> Callable[[bytes], bool]:
     return check
 
 
+def _frozen_algebra(n: int, add: Table, mul: Table, name: str | None = None) -> FiniteAlgebra:
+    """An algebra on tables the caller has frozen, built without scanning
+    them again; its axioms are checked on first use, as for any algebra."""
+    a = object.__new__(FiniteAlgebra)
+    a.order, a.add, a.mul, a.name, a._report = n, add, mul, name, None
+    return a
+
+
 def _checked_algebra(n: int, add: Table, mul: Table) -> FiniteAlgebra:
     """An algebra on tables the caller has frozen and found to satisfy the
     six laws, built without scanning them again."""
-    a = object.__new__(FiniteAlgebra)
-    a.order, a.add, a.mul, a.name, a._report = n, add, mul, None, _PASSED
+    a = _frozen_algebra(n, add, mul)
+    a._report = _PASSED
     return a
 
 

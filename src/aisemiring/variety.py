@@ -24,15 +24,18 @@ satisfying xy = xz) needs no closure. In R, xw = xx for every term w, so
 F_R(k) is the free semilattice on the 2k letters x_i, x_i x_i: every
 term is the join of a nonempty subset of them, and there are 4^k - 1
 elements. A subvariety V of R identifies the subsets whose joins have
-the same evaluation vector over V's generators; those vectors are built
-subset by subset, each one join from a smaller subset. For the ten
-standard specs, and their duals, one invariant of each subset gives the
-same classes without a vector (see _closed_form). A candidate in R
-generated by its k elements lies in V exactly when every subset's join
-takes the same value in it as its class's least subset does (see
-classify_generated). `holds_in` decides an identity in V(spec) for a
-spec inside R the same way: both sides reduce to subsets, and the
-identity holds exactly when they share a class.
+the same evaluation vector over V's generators. Generators act
+componentwise, so those classes are the meet of each generator's own:
+for the six standard generators of the ten (trivial, L2, N2, T2, S58,
+S4_475), and their duals, one invariant of each subset gives a
+generator's classes without a vector; any other generator's are built
+from its vectors, subset by subset, each one join from a smaller subset
+(see _closed_form). A candidate in R generated by its k elements lies
+in V exactly when every subset's join takes the same value in it as its
+class's least subset does (see classify_generated). `holds_in` decides
+an identity in V(spec) for a spec inside R the same way: both sides
+reduce to subsets, and the identity holds exactly when they share a
+class, which for standard generators is a comparison of invariants.
 
 `member` is the one membership decision. One switch, _closed_route,
 picks its route for a spec at a rank: the closed form when every
@@ -60,7 +63,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import FiniteAlgebra, ResourceBudgetError, dual
+from .algebra import FiniteAlgebra, ResourceBudgetError, _frozen_algebra, dual
 from .satisfaction import CATALOG, satisfies
 from .terms import Identity, TermNF, parse_identity
 
@@ -368,17 +371,22 @@ def free_algebra(
     representatives' joins must be distinct (else RuntimeError), which
     vouches for the tables too. Other specs
     take the closure; the elements, tables and witnesses are the same on
-    both routes. Only a closure-built algebra has its axioms checked, an
-    O(n^3) check, and only up to order 100.
+    both routes. Only a closure-built algebra has its tables scanned and
+    its axioms checked, an O(n^3) check, and only up to order 100; a
+    closed-form one is built on the tables as they are, since the check
+    of rep makes every entry an index of the algebra, and checks its
+    axioms only when asked (validate).
     """
     if k < 1:
         raise ValueError("rank must be positive")
     uni = _universe(spec, k, cell_limit)
-    algebra = FiniteAlgebra(
-        uni.size, uni.add_tab, uni.mul_tab, f"F({spec.label},{k})"
-    )
-    if uni.closed_form is None and algebra.order <= 100:
-        algebra.validate()
+    name = f"F({spec.label},{k})"
+    if uni.closed_form is None:
+        algebra = FiniteAlgebra(uni.size, uni.add_tab, uni.mul_tab, name)
+        if algebra.order <= 100:
+            algebra.validate()
+    else:
+        algebra = _frozen_algebra(uni.size, uni.add_tab, uni.mul_tab, name)
     return FreeAlgebraResult(
         algebra=algebra,
         rank=k,
@@ -741,48 +749,60 @@ def _in_r(a: FiniteAlgebra, flipped: bool = False) -> bool:
 
 # rep tuples by (_closed_form_key, rank), least recently used first;
 # their lengths, 4^k each, sum to at most _CLOSED_FORM_CACHE_CELLS
-_closed_forms: OrderedDict[tuple[tuple, int], tuple[int, ...]] = OrderedDict()
+_closed_forms: OrderedDict[tuple[frozenset, int], tuple[int, ...]] = OrderedDict()
 _CLOSED_FORM_CACHE_CELLS = 4**9
 
 # The invariant of (A, B, U, e) whose kernel is the k-variable theory of
-# each standard spec, by the spec's _pattern on (L, N, T, lt03, lnt02).
-# For a subset S, A is the set of i with x_i in S, B the set of i with
-# x_i x_i in S (both bitmasks), U = A | B, and e = (B is nonempty).
+# V(g), for each of the six standard generators g, by g's _pattern on
+# (L, N, T, lt03, lnt02). For a subset S, A is the set of i with x_i in
+# S, B the set of i with x_i x_i in S (both bitmasks), U = A | B, and
+# e = (B is nonempty); see _abue.
 _INVARIANTS = {
-    (True, True, True, True, True): lambda a, b, u, e: 0,  # T
-    (False, True, True, True, True): lambda a, b, u, e: u,  # V(L2)
-    (True, False, True, False, True): lambda a, b, u, e: a,  # V(N2)
-    (True, True, False, True, True): lambda a, b, u, e: None if e else a,  # V(T2)
-    (False, False, True, False, True): lambda a, b, u, e: (a, u),  # V(L2,N2)
-    (True, False, False, False, True): lambda a, b, u, e: (a, e),  # V(N2,T2)
-    (False, True, False, True, True): lambda a, b, u, e: (u, e),  # V(L2,T2)
-    (False, False, False, False, True): lambda a, b, u, e: (a, u, e),  # V(L2,N2,T2)
-    (False, True, False, False, False): lambda a, b, u, e: (b, u),  # V(S58)
-    (False, False, False, False, False): lambda a, b, u, e: (a, b),  # R
+    (True, True, True, True, True): lambda a, b, u, e: 0,  # trivial
+    (False, True, True, True, True): lambda a, b, u, e: u,  # L2
+    (True, False, True, False, True): lambda a, b, u, e: a,  # N2
+    (True, True, False, True, True): lambda a, b, u, e: None if e else a,  # T2
+    (False, True, False, False, False): lambda a, b, u, e: (b, u),  # S58
+    (False, False, False, False, False): lambda a, b, u, e: (a, b),  # S4_475
 }
 
 
-def _closed_form_key(spec: VarietySpec) -> tuple:
-    """What the closed form reads of each generator: its + table and its
+def _generator_key(g: FiniteAlgebra) -> tuple:
+    """What the closed form reads of a generator: its + table and its
     squares, which a generator and its dual share."""
-    return tuple((g.add, tuple(row[x] for x, row in enumerate(g.mul))) for g in spec.generators)
+    return g.add, tuple(row[x] for x, row in enumerate(g.mul))
+
+
+def _closed_form_key(spec: VarietySpec) -> frozenset:
+    """The set of the spec's distinct generator keys (_generator_key)."""
+    return frozenset(map(_generator_key, spec.generators))
 
 
 @lru_cache(maxsize=1)
 def _rules() -> dict:
-    """The invariant of each standard spec by the set of its generators'
-    keys. Built from _standard_patterns(), not from _standard(), whose
-    inclusion order reads closed forms."""
+    """The invariant of each standard generator by its key. Built from
+    the single-generator specs of _standard_patterns(), not from
+    _standard(), whose inclusion order reads closed forms."""
     return {
-        frozenset(_closed_form_key(s)): _INVARIANTS[pattern]
+        _generator_key(s.generators[0]): _INVARIANTS[pattern]
         for s, pattern in _standard_patterns()
+        if len(s.generators) == 1
     }
 
 
-def _rule(spec: VarietySpec):
-    """The spec's invariant when its generators' keys form the same set
-    as a standard spec's, else None."""
-    return _rules().get(frozenset(_closed_form_key(spec)))
+def _spec_rules(spec: VarietySpec) -> tuple | None:
+    """The invariants of the spec's distinct generators when each has a
+    rule, else None."""
+    rules = _rules()
+    invariants = tuple(map(rules.get, _closed_form_key(spec)))
+    return None if None in invariants else invariants
+
+
+def _abue(s: int, k: int) -> tuple:
+    """(A, B, U, e) of subset s at rank k."""
+    low = (1 << k) - 1
+    a, b = s & low, s >> k
+    return a, b, a | b, b != 0
 
 
 def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
@@ -790,57 +810,73 @@ def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
     whose join has the same evaluation vector as S over the spec's
     generators (rep[0] = 0 pads the empty subset).
 
-    A spec whose generators' keys (_closed_form_key) form the same set
-    as one of the ten standard specs' gets rep by rule, in O(4^k): rep[S]
-    is the least subset with the same invariant (_INVARIANTS, _rule).
-    Duals share the keys, so they are covered too. Every other spec,
-    such as the merged join specs of build_lattice, gets rep by
-    evaluating the 4^k - 1 joins over its generators (_evaluated_form),
-    which stays the tests' reference for the rules. The rules hold at
-    every rank:
+    Each generator has its own part: a standard generator, one whose key
+    (_generator_key) is that of trivial, L2, N2, T2, S58 or S4_475, gets
+    rep by rule, in O(4^k): rep[S] is the least subset with the same
+    invariant (_INVARIANTS, _rule_form). Duals share the keys, so they
+    are covered too. Any other generator, such as a relabelled L2, gets
+    its part by evaluating the 4^k - 1 joins (_evaluated_form), which
+    stays the tests' reference for the rules. A spec with several
+    distinct generators gets the meet of their parts (_meet_form): two
+    subsets have the same join over the spec exactly when they have it
+    over each generator, since generators act componentwise, so rep[S]
+    is the least subset with the same tuple of the parts' rep[S]. The
+    rules hold at every rank:
     - soundness: a row-constant generator with xy = f(x) sends the join
       of S to sum_{i in A} a_i + sum_{i in B} f(a_i). L2 has f = id, so
       the value reads U; N2 has f constant at its bottom, so it reads
       A; T2 has f constant at its top, so it reads A when e = 0 and is
       the top when e = 1; S58 has a + f(a) = f(a), so it reads B and U;
       the trivial algebra reads nothing, and S4_475 at most (A, B).
-      Generators act componentwise, so equal invariants give equal
-      joins over the spec's generators.
+      So equal invariants give equal joins over the generator.
     - separation: two subsets with different invariants differ in A, B
       or U at some i, or in e. Sending x_i to x and every other variable
       to y (all of them to x, for e) maps them to two subsets of
       {x, y, xx, yy} whose invariants still differ, and at rank 2 the
-      rule equals evaluation (tests pin it at ranks 1-5), so some
+      rule equals evaluation (tests pin it at ranks 1-5), so the
       generator tells the two apart.
-    So the kernel of the invariant is the k-variable theory of the
-    spec, and rep its closed form. The same two steps show R = V(S4_475)
-    at every rank: R's invariant (A, B) is S itself, and S4_475
-    separates the 15 subsets at rank 2.
+    So the kernel of a generator's invariant is the k-variable theory of
+    V(g). Over a spec, subsets with equal invariants under each
+    generator's rule have equal joins over every generator, and two
+    whose invariants differ under some generator's rule are told apart
+    by that generator, so the kernel of the meet is the k-variable
+    theory of the spec. The same two steps show R = V(S4_475) at every
+    rank: its invariant (A, B) is S itself, and S4_475 separates the 15
+    subsets at rank 2.
 
-    Cached by the generators' keys (_closed_form_key) and rank, so
-    specs that differ only in label, and a spec and its dual, share an
-    entry. An entry holds 4^k ints, and least recently used entries
-    leave first once the entries together hold more than
+    Cached by the set of the distinct generator keys (_closed_form_key)
+    and rank, so specs that differ only in label, in the order or
+    repetition of their generators, or by dualising share an entry; a
+    meet's parts are entries of their own, shared by every spec with
+    that generator. An entry holds 4^k ints, and least recently used
+    entries leave first once the entries together hold more than
     _CLOSED_FORM_CACHE_CELLS; classification at order 6 asks for the
-    ten standard specs at rank 6, 40,960 ints. No budget is checked
-    here: callers check it first (_closed_route, _check_cell_budget).
+    six generators' and the four merged specs' forms at rank 6, 40,960
+    ints. No budget is checked here: callers check it first
+    (_closed_route, _check_cell_budget).
 
     Nor is the spec checked: rep is the closed form of F_R(k) only when
     every generator lies in R, or of its dual only when every one lies
     in the dual, since otherwise the letters no longer span the free
     algebra. Every reader checks this first.
     """
-    key = (_closed_form_key(spec), k)
-    rep = _closed_forms.get(key)
+    return _form({_generator_key(g): g for g in spec.generators}, k)
+
+
+def _form(generators: dict, k: int) -> tuple[int, ...]:
+    """_closed_form for generators by their keys, through the cache."""
+    entry = (frozenset(generators), k)
+    rep = _closed_forms.get(entry)
     if rep is not None:
-        _closed_forms.move_to_end(key)
+        _closed_forms.move_to_end(entry)
         return rep
-    invariant = _rule(spec)
-    if invariant is None:
-        rep = _evaluated_form(spec.generators, k)
+    if len(generators) > 1:
+        rep = _meet_form([_form({key: g}, k) for key, g in generators.items()])
     else:
-        rep = _rule_form(invariant, k)
-    _closed_forms[key] = rep
+        [(key, g)] = generators.items()
+        invariant = _rules().get(key)
+        rep = _evaluated_form((g,), k) if invariant is None else _rule_form(invariant, k)
+    _closed_forms[entry] = rep
     cells = sum(map(len, _closed_forms.values()))
     while cells > _CLOSED_FORM_CACHE_CELLS:
         _key, old = _closed_forms.popitem(last=False)
@@ -851,12 +887,15 @@ def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
 def _rule_form(invariant, k: int) -> tuple[int, ...]:
     """rep by rule: the least subset with the same invariant of
     (A, B, U, e) (see _closed_form)."""
-    low = (1 << k) - 1
     first: dict = {}
-    return (0, *(
-        first.setdefault(invariant(s & low, s >> k, (s | s >> k) & low, s > low), s)
-        for s in range(1, 4**k)
-    ))
+    return (0, *(first.setdefault(invariant(*_abue(s, k)), s) for s in range(1, 4**k)))
+
+
+def _meet_form(parts) -> tuple[int, ...]:
+    """rep of several generators from their parts: the least subset with
+    the same tuple of the parts' representatives (see _closed_form)."""
+    first: dict = {}
+    return tuple(first.setdefault(reps, s) for s, reps in enumerate(zip(*parts)))
 
 
 def _evaluated_form(generators, k: int) -> tuple[int, ...]:
@@ -943,11 +982,14 @@ def _check_closed_form(uni: _Universe, rep: tuple[int, ...], label: str) -> None
 
 def _check_cell_budget(specs, k: int) -> None:
     """Raise ResourceBudgetError when some spec's closed form at rank k
-    exceeds DEFAULT_CELL_LIMIT cells: 4^k for a form built by rule,
-    (4^k - 1) x width vector cells for one built by evaluation (see
-    _closed_form)."""
+    exceeds DEFAULT_CELL_LIMIT cells: 4^k when each of its distinct
+    generators has a rule, else (4^k - 1) x width vector cells, the cost
+    of evaluation (see _closed_form)."""
     for s in specs:
-        cells = 4**k if _rule(s) else (4**k - 1) * sum(g.order**k for g in s.generators)
+        if _spec_rules(s) is not None:
+            cells = 4**k
+        else:
+            cells = (4**k - 1) * sum(g.order**k for g in s.generators)
         if cells > DEFAULT_CELL_LIMIT:
             raise ResourceBudgetError(f"closed form of {cells} cells exceeds the cell budget")
 
@@ -958,19 +1000,24 @@ def holds_in(spec: VarietySpec, ident: Identity | str) -> bool:
     With k variables, each side is the join of a subset of the 2k
     letters: a word whose first letter is x_i stands for x_i if it has
     length 1 and for x_i x_i otherwise, since xw = xx in R. The identity
-    holds in V(spec) exactly when both subsets have the same
-    representative in the closed form of rank k. Raises ValueError for
-    a spec outside R (the dual shares its closed form, but a word there
-    reduces by its last letter), and ResourceBudgetError before any
-    other work when the closed form would exceed the cell budget: 4^k
-    cells for a form built by rule, (4^k - 1) x width built by
-    evaluation (see _check_cell_budget).
+    holds in V(spec) exactly when both subsets have the same join over
+    each generator (see _closed_form). When every generator has a rule
+    that is the case when both subsets have the same invariant under
+    each generator's rule, a comparison in the identity's length with
+    no table and no budget. Otherwise both subsets must have the same representative in
+    the spec's closed form of rank k, whose (4^k - 1) x width cells are
+    checked against the cell budget before any other work
+    (ResourceBudgetError, see _check_cell_budget). Raises ValueError
+    for a spec outside R (the dual shares its closed form, but a word
+    there reduces by its last letter).
     """
     if isinstance(ident, str):
         ident = parse_identity(ident)
     variables = ident.variables()
     k = len(variables)
-    _check_cell_budget((spec,), k)
+    invariants = _spec_rules(spec)
+    if invariants is None:
+        _check_cell_budget((spec,), k)
     bit = {v: i for i, v in enumerate(variables)}
 
     def subset(t: TermNF) -> int:
@@ -982,8 +1029,12 @@ def holds_in(spec: VarietySpec, ident: Identity | str) -> bool:
     for g in spec.generators:
         if not _in_r(g):
             raise ValueError(f"generator {g!r} of {spec.label!r} falsifies xy = xz")
-    rep = _closed_form(spec, k)
-    return rep[subset(ident.lhs)] == rep[subset(ident.rhs)]
+    left, right = subset(ident.lhs), subset(ident.rhs)
+    if invariants is None:
+        rep = _closed_form(spec, k)
+        return rep[left] == rep[right]
+    left, right = _abue(left, k), _abue(right, k)
+    return all(invariant(*left) == invariant(*right) for invariant in invariants)
 
 
 def _join_values(a: FiniteAlgebra) -> list:
@@ -1071,7 +1122,7 @@ def classify_generated(a: FiniteAlgebra) -> str:
     under x_i -> a_i for every S: sound and complete, but only for
     candidates and specs inside R. The order that picks the least such V
     comes from the same test (see _standard), so even a cold call builds
-    no closure. The ten closed forms are built by rule (see
+    no closure. The ten closed forms are built by rule and meet (see
     _closed_form), and their 4^k cells are checked against
     DEFAULT_CELL_LIMIT before any other work (_check_cell_budget).
     """

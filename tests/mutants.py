@@ -59,6 +59,11 @@ FRONTIER = "tests/test_derive.py::test_the_frontier_bound_rules_out_only_unreach
 REACH = "tests/test_derive.py::test_reach_is_the_most_words_on_a_side"
 BUDGET = "tests/test_derive.py::test_node_budget_counts_expanded_states_exactly"
 EVALUATION_BUDGET = "tests/test_variety.py::test_holds_in_cuts_the_evaluation_budget_exactly"
+MEETS = "tests/test_variety.py::test_meet_built_forms_equal_evaluation_on_every_set_of_the_six"
+CACHE_BOUND = "tests/test_variety.py::test_closed_form_cache_stays_bounded"
+BY_INVARIANT = "tests/test_variety.py::test_holds_in_by_invariant_agrees_with_the_closed_form"
+LAZY_AXIOMS = "tests/test_variety.py::test_closed_route_free_algebra_checks_its_axioms_only_when_asked"
+VECTOR_BUDGET = "tests/test_variety.py::test_holds_in_budget_is_raised_before_any_vector"
 END_OF_SIDE = "tests/test_terms.py::test_input_ending_inside_a_side_points_past_its_last_token"
 EMPTY_TERM = "tests/test_terms.py::test_empty_term_is_a_syntax_error_at_column_0"
 # the lines of `_Search.successors` between its cache lookup and its fill,
@@ -123,17 +128,17 @@ MUTANTS = (
         ("tests/test_variety.py::test_member_matches_reference_walk_on_all_algebras_up_to_order_3",),
     ),
     Mutant(
-        "V(L2)'s invariant U replaced by A",
+        "L2's invariant U replaced by A",
         VARIETY,
-        "lambda a, b, u, e: u,  # V(L2)",
-        "lambda a, b, u, e: a,  # V(L2)",
+        "lambda a, b, u, e: u,  # L2",
+        "lambda a, b, u, e: a,  # L2",
         (RULES,),
     ),
     Mutant(
-        "V(S58)'s invariant (B, U) replaced by (A, U)",
+        "S58's invariant (B, U) replaced by (A, U)",
         VARIETY,
-        "lambda a, b, u, e: (b, u),  # V(S58)",
-        "lambda a, b, u, e: (a, u),  # V(S58)",
+        "lambda a, b, u, e: (b, u),  # S58",
+        "lambda a, b, u, e: (a, u),  # S58",
         (RULES,),
     ),
     Mutant(
@@ -228,6 +233,55 @@ MUTANTS = (
         "self.reach = max((len(rule.src.words) for rule in rules), default=0)",
         "self.reach = min((len(rule.src.words) for rule in rules), default=0)",
         (REACH,),
+    ),
+    Mutant(
+        "meet keyed on the first generator's part only",
+        VARIETY,
+        "first.setdefault(reps, s) for s, reps in enumerate(zip(*parts))",
+        "first.setdefault(reps[0], s) for s, reps in enumerate(zip(*parts))",
+        (MEETS, RULES),
+    ),
+    Mutant(
+        "closed-form fill joins by intersection",
+        VARIETY,
+        "self.add_tab = tuple(tuple([at[c | d] for d in classes]) for c in classes)",
+        "self.add_tab = tuple(tuple([at[c & d] for d in classes]) for c in classes)",
+        (REPLAYED,),
+    ),
+    Mutant(
+        "closed-form cache evicts the newest entry",
+        VARIETY,
+        "_key, old = _closed_forms.popitem(last=False)",
+        "_key, old = _closed_forms.popitem()",
+        (CACHE_BOUND,),
+    ),
+    Mutant(
+        "e read from A instead of B",
+        VARIETY,
+        "return a, b, a | b, b != 0",
+        "return a, b, a | b, a != 0",
+        (RULES, BY_INVARIANT),
+    ),
+    Mutant(
+        "holds_in compares one generator's invariant only",
+        VARIETY,
+        "return all(invariant(*left) == invariant(*right) for invariant in invariants)",
+        "return invariants[0](*left) == invariants[0](*right)",
+        (BY_INVARIANT,),
+    ),
+    Mutant(
+        "a spec with a rule-less generator charged 4^k cells",
+        VARIETY,
+        "if _spec_rules(s) is not None:\n            cells = 4**k",
+        "if True:\n            cells = 4**k",
+        (EVALUATION_BUDGET, VECTOR_BUDGET),
+    ),
+    Mutant(
+        "frozen algebra born validated",
+        ALGEBRA,
+        "a.order, a.add, a.mul, a.name, a._report = n, add, mul, name, None",
+        "a.order, a.add, a.mul, a.name, a._report = n, add, mul, name, _PASSED",
+        (LAZY_AXIOMS,),
     ),
 )
 

@@ -8,7 +8,7 @@ from collections import Counter, OrderedDict
 import pytest
 
 from aisemiring import catalog, variety
-from aisemiring.algebra import ResourceBudgetError, direct_product, dual, relabel
+from aisemiring.algebra import FiniteAlgebra, ResourceBudgetError, direct_product, dual, relabel
 from aisemiring.enumeration import (
     canonical_semilattices,
     enumerate_ai_semirings,
@@ -598,11 +598,12 @@ def test_budget_errors_are_not_answers():
 def test_cold_closed_form_free_algebra_computes_the_letter_joins_once_by_rule_twice_by_evaluation(
     monkeypatch,
 ):
-    # a standard spec's closed form is built by rule, so only the universe
-    # computes the joins, which its check reads; a spec the rules do not
-    # cover (V(S58,N2) is R, but not by its generators) computes them once
-    # more for its closed form. With the closed form cached only the
-    # universe computes them
+    # each generator's part of the closed form is built by rule when it is
+    # one of the six standard generators, so for a spec of those, however
+    # many (V(S58,N2) is R by the meet of two rules), only the universe
+    # computes the joins, which its check reads. A relabelled L2 has no
+    # rule: its part, and only its part, computes them once more. With the
+    # closed form cached only the universe computes them
     calls = []
     letter_joins = variety._letter_joins
 
@@ -612,14 +613,32 @@ def test_cold_closed_form_free_algebra_computes_the_letter_joins_once_by_rule_tw
 
     monkeypatch.setattr(variety, "_letter_joins", counted)
     monkeypatch.setattr(variety, "_closed_forms", OrderedDict())
-    uncovered = spec("V(S58,N2)", "S58", "N2")
-    assert variety._rule(R_SPEC) is not None and variety._rule(uncovered) is None
-    for s, cold in ((R_SPEC, 1), (uncovered, 2)):
+    swapped = relabel(g("L2"), [1, 0])
+    covered = spec("V(S58,N2)", "S58", "N2")
+    uncovered = VarietySpec("V(L2',N2)", (swapped, g("N2")))
+    assert variety._spec_rules(covered) is not None and variety._spec_rules(uncovered) is None
+    for s, cold, size in ((R_SPEC, 1, 63), (covered, 1, 63), (uncovered, 2, 26)):
         calls.clear()
         order = free_algebra(s, 3).algebra.order
         assert len(calls) == cold, s.label
-        assert free_algebra(s, 3).algebra.order == order == 63
+        assert free_algebra(s, 3).algebra.order == order == size
         assert len(calls) == cold + 1, s.label
+    assert [block[0] for block in calls[0].blocks] == [swapped]
+
+
+def test_closed_route_free_algebra_checks_its_axioms_only_when_asked():
+    # its tables are taken as built, the check of rep vouching for their
+    # entries, and validate() still scans them on demand; the closure
+    # route scans and validates as it builds (up to order 100)
+    closed = free_algebra(R_SPEC, 2).algebra
+    assert closed._report is None and not closed.is_validated
+    assert closed.validate() is closed and closed.is_validated
+    assert closed == FiniteAlgebra(closed.order, closed.add, closed.mul)
+    l2 = spec("V(L2)", "L2")
+    assert variety._closed_route(l2, 2, 59) is None  # the closed form holds 15 x 4 cells
+    closure = free_algebra(l2, 2, cell_limit=59).algebra
+    assert closure._report is not None and closure.is_validated
+    assert closure == free_algebra(l2, 2).algebra
 
 
 def test_check_closed_form_rejects_a_corrupted_rep():
@@ -660,11 +679,12 @@ def test_cell_limit_cuts_exactly_at_size_times_width():
 
 
 def test_holds_in_cuts_the_evaluation_budget_exactly(monkeypatch):
-    # a spec with no rule gets its rank-k closed form by evaluation, which
-    # holds (4^k - 1) x width vector cells: that product is the least
-    # budget that admits it
-    join = spec("V(L2,S58)", "L2", "S58")
-    assert variety._rule(join) is None
+    # a spec with a generator that has no rule gets its rank-k closed form
+    # by evaluation, which holds (4^k - 1) x width vector cells: that
+    # product is the least budget that admits it. A spec whose generators
+    # all have rules compares invariants and is charged nothing
+    join = VarietySpec("V(L2',S58)", (relabel(g("L2"), [1, 0]), g("S58")))
+    assert variety._spec_rules(join) is None
     k = 2
     cells = (4**k - 1) * sum(a.order**k for a in join.generators)
     assert cells == 15 * 13
@@ -673,6 +693,8 @@ def test_holds_in_cuts_the_evaluation_budget_exactly(monkeypatch):
     monkeypatch.setattr(variety, "DEFAULT_CELL_LIMIT", cells - 1)
     with pytest.raises(ResourceBudgetError):
         holds_in(join, "xy = xx")
+    monkeypatch.setattr(variety, "DEFAULT_CELL_LIMIT", 0)
+    assert holds_in(spec("V(L2,S58)", "L2", "S58"), "xy = xx")
 
 
 def test_closed_form_agrees_with_member_up_to_order_4():
@@ -782,17 +804,50 @@ def test_holds_in_rejects_specs_outside_r():
 
 
 def test_holds_in_budget_is_raised_before_any_vector(monkeypatch):
-    # seven variables fit R's rule-built closed form, 4^7 cells, but not
-    # the evaluated one of a spec the rules do not cover, (4^7 - 1) x
-    # (4^7 + 2^7) cells; twelve variables exceed 4^k too
+    # a relabelled L2 has no rule, so a spec with it is charged the
+    # evaluated closed form: seven variables exceed its (4^7 - 1) x
+    # (4^7 + 2^7) cells beside S4_475, twelve its (4^12 - 1) x 2^12 alone.
+    # Specs of standard generators compare invariants, with no table and
+    # no budget, so twelve variables over R or T answer
     seven = "x1 + x2 + x3 + x4 + x5 + x6 + x7 = x1"
-    assert not holds_in(R_SPEC, seven)
     twelve = " + ".join(f"x{i}" for i in range(1, 13)) + " = x1"
+    swapped = relabel(g("L2"), [1, 0])
     variety._rules()
     _refuse_closed_form_work(monkeypatch)
-    for s, ident in ((spec("V(S4_475,L2)", "S4_475", "L2"), seven), (R_SPEC, twelve)):
+    for s, ident in (
+        (VarietySpec("V(S4_475,L2')", (g("S4_475"), swapped)), seven),
+        (VarietySpec("V(L2')", (swapped,)), twelve),
+    ):
         with pytest.raises(ResourceBudgetError, match="cell budget"):
             holds_in(s, ident)
+    assert not holds_in(R_SPEC, seven)
+    assert not holds_in(R_SPEC, twelve)
+    assert holds_in(spec("T", "trivial"), twelve)
+
+
+def _subset(t, variables):
+    """The subset of the letters that a term reduces to in R (see
+    holds_in), read independently of it."""
+    k = len(variables)
+    return sum({1 << (variables.index(w[0]) + k * (len(w) > 1)) for w in t.words})
+
+
+def test_holds_in_by_invariant_agrees_with_the_closed_form():
+    # identities of at most four variables, against the ten specs' rep
+    rng = random.Random(13)
+    specs = standard_subvariety_specs()
+    holding = pairs = 0
+    for _ in range(300):
+        ident = random_identity(rng, max_vars=4)
+        variables = ident.variables()
+        left, right = _subset(ident.lhs, variables), _subset(ident.rhs, variables)
+        for s in specs:
+            rep = _closed_form(s, len(variables))
+            got = holds_in(s, ident)
+            assert got == (rep[left] == rep[right]), (str(ident), s.label)
+            holding += got
+            pairs += 1
+    assert 0 < holding < pairs
 
 
 def _cached_cells():
@@ -818,11 +873,19 @@ def test_closed_form_cache_stays_bounded(monkeypatch):
 
 
 def test_closed_form_cache_ignores_labels():
-    # a join spec such as V(L2)+V(N2) reuses the entry of V(L2,N2)
+    # a join spec such as V(L2)+V(N2) reuses the entry of V(L2,N2), and so
+    # does any order or repetition of the two generators; the meet's parts
+    # are entries of their own, which V(L2) and V(N2) reuse
     variety._closed_forms.clear()
     rep = _closed_form(spec("V(L2,N2)", "L2", "N2"), 2)
-    assert _closed_form(spec("V(L2)+V(N2)", "L2", "N2"), 2) is rep
-    assert list(variety._closed_forms) == [(variety._closed_form_key(spec("", "L2", "N2")), 2)]
+    for join in (spec("V(L2)+V(N2)", "L2", "N2"), spec("V(N2,L2,L2)", "N2", "L2", "L2")):
+        assert _closed_form(join, 2) is rep
+    key = variety._closed_form_key
+    l2, n2 = spec("V(L2)", "L2"), spec("V(N2)", "N2")
+    assert list(variety._closed_forms) == [(key(l2), 2), (key(n2), 2), (key(spec("", "L2", "N2")), 2)]
+    parts = [variety._closed_forms[key(l2), 2], variety._closed_forms[key(n2), 2]]
+    assert [_closed_form(l2, 2), _closed_form(n2, 2)] == parts
+    assert len(variety._closed_forms) == 3
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -837,34 +900,61 @@ def test_a_spec_and_its_dual_share_one_closed_form(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_rule_built_closed_forms_equal_evaluation(k):
-    # the ten standard specs and their duals are covered by the rules, and
-    # evaluation stays the reference
-    for s in standard_subvariety_specs() + _dual_specs():
-        invariant = variety._rule(s)
-        assert invariant is not None, s.label
-        rule = variety._rule_form(invariant, k)
-        assert rule == variety._evaluated_form(s.generators, k), (s.label, k)
-        assert _closed_form(s, k) == rule, (s.label, k)
+    # each generator of the ten standard specs and their duals has a rule,
+    # and evaluation stays the reference for its part; the specs get the
+    # meets of those parts, which evaluation over all their generators
+    # checks in turn
+    specs = standard_subvariety_specs() + _dual_specs()
+    rules = variety._rules()
+    for x in {x for s in specs for x in s.generators}:
+        rule = variety._rule_form(rules[variety._generator_key(x)], k)
+        assert rule == variety._evaluated_form((x,), k), (x, k)
+    for s in specs:
+        assert _closed_form(s, k) == variety._evaluated_form(s.generators, k), (s.label, k)
 
 
-def test_rules_cover_only_the_generator_sets_of_the_ten():
-    # a merged join spec, a relabelled generator and an extra generator
-    # all keep evaluation, even where the variety is one of the ten
+STANDARD_GENERATORS = ("trivial", "L2", "N2", "T2", "S58", "S4_475")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_meet_built_forms_equal_evaluation_on_every_set_of_the_six(k, monkeypatch):
+    # 63 nonempty sets of the six standard generators: each form is built
+    # by rule and meet alone, and equals evaluation over the whole set
+    evaluated = variety._evaluated_form
+
+    def refuse(*args):
+        raise AssertionError("a standard generator's part was evaluated")
+
+    monkeypatch.setattr(variety, "_evaluated_form", refuse)
+    monkeypatch.setattr(variety, "_closed_forms", OrderedDict())
+    six = [g(n) for n in STANDARD_GENERATORS]
+    sets = [c for r in range(1, 7) for c in itertools.combinations(six, r)]
+    assert len(sets) == 63
+    for generators in sets:
+        rep = _closed_form(VarietySpec("", generators), k)
+        assert rep == evaluated(generators, k), (generators, k)
+
+
+def test_rules_cover_only_the_six_generators():
+    # a spec is covered when each of its distinct generators is one of the
+    # six standard generators or a dual of one, in any number or order and
+    # whether or not the variety is one of the ten; a relabelled generator
+    # has no rule, even where its variety is one of the ten
     covered = [
         spec("V(N2,L2)", "N2", "L2"),
         spec("V(L2,L2)", "L2", "L2"),
         spec("V(R2,T2)", "R2", "T2"),
-    ]
-    swapped = relabel(g("L2"), [1, 0])
-    uncovered = [
         spec("V(L2,N2,S58)", "L2", "N2", "S58"),
         spec("V(S58,N2)", "S58", "N2"),
         spec("V(L2,T)", "L2", "trivial"),
-        VarietySpec("V(L2')", (swapped,)),
     ]
-    assert all(variety._rule(s) is not None for s in covered)
-    assert all(variety._rule(s) is None for s in uncovered)
-    assert compare(uncovered[1], R_SPEC) == compare(uncovered[3], spec("V(L2)", "L2")) == EQUAL
+    swapped = VarietySpec("V(L2')", (relabel(g("L2"), [1, 0]),))
+    uncovered = [swapped, VarietySpec("V(L2',N2)", (*swapped.generators, g("N2")))]
+    assert all(variety._spec_rules(s) is not None for s in covered)
+    assert all(variety._spec_rules(s) is None for s in uncovered)
+    assert len(variety._INVARIANTS) == len(variety._rules()) == 6
+    assert set(variety._rules()) == {variety._generator_key(g(n)) for n in STANDARD_GENERATORS}
+    assert compare(covered[4], R_SPEC) == compare(swapped, spec("V(L2)", "L2")) == EQUAL
 
 
 # classes of F_V(k) by the number of values of V's invariant
@@ -884,10 +974,8 @@ CLASS_COUNTS = {
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_rule_built_class_counts_follow_the_formulas(k):
-    counts = {
-        s.label: len(set(variety._rule_form(variety._rule(s), k))) - 1
-        for s in standard_subvariety_specs()
-    }
+    # the six generators' forms by rule, the four merged specs' by meet
+    counts = {s.label: len(set(_closed_form(s, k))) - 1 for s in standard_subvariety_specs()}
     assert counts == {label: count(k) for label, count in CLASS_COUNTS.items()}
     if k == 6:
         assert list(counts.values()) == [1, 63, 64, 64, 728, 127, 126, 791, 728, 4095]
@@ -958,7 +1046,7 @@ def test_rank_9_closed_form_leaves_the_cache_within_its_cap():
     for s in standard_subvariety_specs():
         _closed_form(s, 2)
     trivial = spec("T", "trivial")
-    assert holds_in(trivial, " + ".join(f"x{i}" for i in range(1, 10)) + " = x1")
+    assert len(set(_closed_form(trivial, 9))) == 2
     assert _cached_cells() <= variety._CLOSED_FORM_CACHE_CELLS
     assert (variety._closed_form_key(trivial), 9) in variety._closed_forms
 
