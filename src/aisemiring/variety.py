@@ -371,22 +371,18 @@ def free_algebra(
     representatives' joins must be distinct (else RuntimeError), which
     vouches for the tables too. Other specs
     take the closure; the elements, tables and witnesses are the same on
-    both routes. Only a closure-built algebra has its tables scanned and
-    its axioms checked, an O(n^3) check, and only up to order 100; a
-    closed-form one is built on the tables as they are, since the check
-    of rep makes every entry an index of the algebra, and checks its
-    axioms only when asked (validate).
+    both routes. Either route's tables are used as they are, since the
+    sweep or the check of rep makes every entry an index of the algebra.
+    Only a closure-built algebra has its axioms checked, an O(n^3)
+    check, and only up to order 100; a closed-form one checks them only
+    when asked (validate).
     """
     if k < 1:
         raise ValueError("rank must be positive")
     uni = _universe(spec, k, cell_limit)
-    name = f"F({spec.label},{k})"
-    if uni.closed_form is None:
-        algebra = FiniteAlgebra(uni.size, uni.add_tab, uni.mul_tab, name)
-        if algebra.order <= 100:
-            algebra.validate()
-    else:
-        algebra = _frozen_algebra(uni.size, uni.add_tab, uni.mul_tab, name)
+    algebra = _frozen_algebra(uni.size, uni.add_tab, uni.mul_tab, f"F({spec.label},{k})")
+    if uni.closed_form is None and algebra.order <= 100:
+        algebra.validate()
     return FreeAlgebraResult(
         algebra=algebra,
         rank=k,
@@ -747,7 +743,7 @@ def _in_r(a: FiniteAlgebra, flipped: bool = False) -> bool:
     return all(row.count(row[0]) == a.order for row in a.mul)
 
 
-# rep tuples by (_closed_form_key, rank), least recently used first;
+# rep tuples by (set of generator keys, rank), least recently used first;
 # their lengths, 4^k each, sum to at most _CLOSED_FORM_CACHE_CELLS
 _closed_forms: OrderedDict[tuple[frozenset, int], tuple[int, ...]] = OrderedDict()
 _CLOSED_FORM_CACHE_CELLS = 4**9
@@ -773,9 +769,10 @@ def _generator_key(g: FiniteAlgebra) -> tuple:
     return g.add, tuple(row[x] for x, row in enumerate(g.mul))
 
 
-def _closed_form_key(spec: VarietySpec) -> frozenset:
-    """The set of the spec's distinct generator keys (_generator_key)."""
-    return frozenset(map(_generator_key, spec.generators))
+def _keyed_generators(spec: VarietySpec) -> dict:
+    """The spec's distinct generators by key (_generator_key); the set of
+    the keys is the spec's key in the closed-form cache."""
+    return {_generator_key(g): g for g in spec.generators}
 
 
 @lru_cache(maxsize=1)
@@ -794,7 +791,7 @@ def _spec_rules(spec: VarietySpec) -> tuple | None:
     """The invariants of the spec's distinct generators when each has a
     rule, else None."""
     rules = _rules()
-    invariants = tuple(map(rules.get, _closed_form_key(spec)))
+    invariants = tuple(map(rules.get, _keyed_generators(spec)))
     return None if None in invariants else invariants
 
 
@@ -844,7 +841,7 @@ def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
     rank: its invariant (A, B) is S itself, and S4_475 separates the 15
     subsets at rank 2.
 
-    Cached by the set of the distinct generator keys (_closed_form_key)
+    Cached by the set of the distinct generator keys (_keyed_generators)
     and rank, so specs that differ only in label, in the order or
     repetition of their generators, or by dualising share an entry; a
     meet's parts are entries of their own, shared by every spec with
@@ -860,7 +857,7 @@ def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
     in the dual, since otherwise the letters no longer span the free
     algebra. Every reader checks this first.
     """
-    return _form({_generator_key(g): g for g in spec.generators}, k)
+    return _form(_keyed_generators(spec), k)
 
 
 def _form(generators: dict, k: int) -> tuple[int, ...]:

@@ -850,6 +850,10 @@ def test_holds_in_by_invariant_agrees_with_the_closed_form():
     assert 0 < holding < pairs
 
 
+def _cache_key(s):
+    return frozenset(variety._keyed_generators(s))
+
+
 def _cached_cells():
     return sum(map(len, variety._closed_forms.values()))
 
@@ -867,7 +871,7 @@ def test_closed_form_cache_stays_bounded(monkeypatch):
     _closed_form(c, 3)
     _closed_form(a, 1)  # a is now the most recently used
     _closed_form(d, 2)
-    key = variety._closed_form_key
+    key = _cache_key
     assert list(variety._closed_forms) == [(key(c), 3), (key(a), 1), (key(d), 2)]
     assert _cached_cells() == 84
 
@@ -880,7 +884,7 @@ def test_closed_form_cache_ignores_labels():
     rep = _closed_form(spec("V(L2,N2)", "L2", "N2"), 2)
     for join in (spec("V(L2)+V(N2)", "L2", "N2"), spec("V(N2,L2,L2)", "N2", "L2", "L2")):
         assert _closed_form(join, 2) is rep
-    key = variety._closed_form_key
+    key = _cache_key
     l2, n2 = spec("V(L2)", "L2"), spec("V(N2)", "N2")
     assert list(variety._closed_forms) == [(key(l2), 2), (key(n2), 2), (key(spec("", "L2", "N2")), 2)]
     parts = [variety._closed_forms[key(l2), 2], variety._closed_forms[key(n2), 2]]
@@ -1048,7 +1052,7 @@ def test_rank_9_closed_form_leaves_the_cache_within_its_cap():
     trivial = spec("T", "trivial")
     assert len(set(_closed_form(trivial, 9))) == 2
     assert _cached_cells() <= variety._CLOSED_FORM_CACHE_CELLS
-    assert (variety._closed_form_key(trivial), 9) in variety._closed_forms
+    assert (_cache_key(trivial), 9) in variety._closed_forms
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
