@@ -27,10 +27,12 @@ elements. A subvariety V of R identifies the subsets whose joins have
 the same evaluation vector over V's generators. Generators act
 componentwise, so those classes are the meet of each generator's own:
 for the six standard generators of the ten (trivial, L2, N2, T2, S58,
-S4_475), and their duals, one invariant of each subset gives a
-generator's classes without a vector; any other generator's are built
-from its vectors, subset by subset, each one join from a smaller subset
-(see _closed_form). A candidate in R generated by its k elements lies
+S4_475), and their duals, one invariant of each subset, kept by the
+generator's catalog name, gives a generator's classes without a vector;
+any other generator's are built from its vectors, subset by subset,
+each one join from a smaller subset. One builder, _kernel, turns either
+key, or the tuple of several generators' classes, into rep (see
+_closed_form). A candidate in R generated by its k elements lies
 in V exactly when every subset's join takes the same value in it as its
 class's least subset does (see classify_generated). `holds_in` decides
 an identity in V(spec) for a spec inside R the same way: both sides
@@ -289,10 +291,9 @@ class _Universe(_Vectors):
         sq(T) inside its dual, so every row of mul_tab is constant
         inside R and all rows are one tuple inside its dual."""
         k, n = self.k, len(classes)
-        low = (1 << k) - 1
         index = {c: i for i, c in enumerate(classes)}
         at = [index.get(r) for r in rep]  # subset -> element
-        squares = [at[((c | c >> k) & low) << k] for c in classes]
+        squares = [at[_square(c, k)] for c in classes]
         self.add_tab = tuple(tuple([at[c | d] for d in classes]) for c in classes)
         if flipped:
             self.mul_tab = (tuple(squares),) * n
@@ -366,13 +367,13 @@ def free_algebra(
     returned. Each call builds the algebra afresh; none is kept. For a
     spec inside R or its dual whose closed form's (4^k - 1) x width
     cells fit `cell_limit`, the algebra is built from the closed form,
-    its tables read from rep, and rep is checked on each build: each
-    subset's join must equal its representative's, and the
-    representatives' joins must be distinct (else RuntimeError), which
-    vouches for the tables too. Other specs
-    take the closure; the elements, tables and witnesses are the same on
-    both routes. Either route's tables are used as they are, since the
-    sweep or the check of rep makes every entry an index of the algebra.
+    its tables read from rep, and rep is checked on each build: it must
+    be the kernel of the subset joins, each subset's class led by the
+    least subset with its join (else RuntimeError), which vouches for
+    the tables too. Other specs take the closure; the elements, tables
+    and witnesses are the same on both routes. Either route's tables are
+    used as they are, since the sweep or the check of rep makes every
+    entry an index of the algebra.
     Only a closure-built algebra has its axioms checked, an O(n^3)
     check, and only up to order 100; a closed-form one checks them only
     when asked (validate).
@@ -695,14 +696,6 @@ def _pattern(algebras) -> tuple[bool, ...]:
     )
 
 
-@lru_cache(maxsize=1)
-def _standard_patterns() -> tuple[tuple[VarietySpec, tuple[bool, ...]], ...]:
-    """The ten standard specs, each with its generators' _pattern: the one
-    table that _rules() and _standard() both read, so a cold process
-    computes each pattern once. It reads neither of them."""
-    return tuple((s, _pattern(s.generators)) for s in standard_subvariety_specs())
-
-
 def _pattern_index(table) -> dict[tuple[bool, ...], int]:
     """Spec index by generator pattern, from (spec, pattern) pairs; two
     specs sharing a pattern raise ValueError rather than overwrite each
@@ -749,17 +742,17 @@ _closed_forms: OrderedDict[tuple[frozenset, int], tuple[int, ...]] = OrderedDict
 _CLOSED_FORM_CACHE_CELLS = 4**9
 
 # The invariant of (A, B, U, e) whose kernel is the k-variable theory of
-# V(g), for each of the six standard generators g, by g's _pattern on
-# (L, N, T, lt03, lnt02). For a subset S, A is the set of i with x_i in
-# S, B the set of i with x_i x_i in S (both bitmasks), U = A | B, and
-# e = (B is nonempty); see _abue.
+# V(g), for each of the six standard generators g, by g's catalog name.
+# For a subset S, A is the set of i with x_i in S, B the set of i with
+# x_i x_i in S (both bitmasks), U = A | B, and e = (B is nonempty); see
+# _abue.
 _INVARIANTS = {
-    (True, True, True, True, True): lambda a, b, u, e: 0,  # trivial
-    (False, True, True, True, True): lambda a, b, u, e: u,  # L2
-    (True, False, True, False, True): lambda a, b, u, e: a,  # N2
-    (True, True, False, True, True): lambda a, b, u, e: None if e else a,  # T2
-    (False, True, False, False, False): lambda a, b, u, e: (b, u),  # S58
-    (False, False, False, False, False): lambda a, b, u, e: (a, b),  # S4_475
+    "trivial": lambda a, b, u, e: 0,
+    "L2": lambda a, b, u, e: u,
+    "N2": lambda a, b, u, e: a,
+    "T2": lambda a, b, u, e: None if e else a,
+    "S58": lambda a, b, u, e: (b, u),
+    "S4_475": lambda a, b, u, e: (a, b),
 }
 
 
@@ -777,14 +770,12 @@ def _keyed_generators(spec: VarietySpec) -> dict:
 
 @lru_cache(maxsize=1)
 def _rules() -> dict:
-    """The invariant of each standard generator by its key. Built from
-    the single-generator specs of _standard_patterns(), not from
-    _standard(), whose inclusion order reads closed forms."""
-    return {
-        _generator_key(s.generators[0]): _INVARIANTS[pattern]
-        for s, pattern in _standard_patterns()
-        if len(s.generators) == 1
-    }
+    """The invariant of each standard generator by its key, read from the
+    catalog: no pattern, and not _standard(), whose inclusion order reads
+    closed forms."""
+    from . import catalog
+
+    return {_generator_key(catalog.get(name)): rule for name, rule in _INVARIANTS.items()}
 
 
 def _spec_rules(spec: VarietySpec) -> tuple | None:
@@ -802,23 +793,30 @@ def _abue(s: int, k: int) -> tuple:
     return a, b, a | b, b != 0
 
 
+def _square(s: int, k: int) -> int:
+    """sq(S) for subset s at rank k: the squares x_i x_i of the variables
+    that s mentions, as x_i or as x_i x_i."""
+    return ((s | s >> k) & ((1 << k) - 1)) << k
+
+
 def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
     """rep[S] for every subset S of the 2k letters: the least subset
     whose join has the same evaluation vector as S over the spec's
     generators (rep[0] = 0 pads the empty subset).
 
-    Each generator has its own part: a standard generator, one whose key
-    (_generator_key) is that of trivial, L2, N2, T2, S58 or S4_475, gets
-    rep by rule, in O(4^k): rep[S] is the least subset with the same
-    invariant (_INVARIANTS, _rule_form). Duals share the keys, so they
-    are covered too. Any other generator, such as a relabelled L2, gets
-    its part by evaluating the 4^k - 1 joins (_evaluated_form), which
-    stays the tests' reference for the rules. A spec with several
-    distinct generators gets the meet of their parts (_meet_form): two
-    subsets have the same join over the spec exactly when they have it
-    over each generator, since generators act componentwise, so rep[S]
-    is the least subset with the same tuple of the parts' rep[S]. The
-    rules hold at every rank:
+    Every rep is the kernel of a key on the subsets (_kernel): rep[S] is
+    the least subset with S's key. Each generator has its own part: a
+    standard generator, one whose key (_generator_key) is that of the
+    catalog's trivial, L2, N2, T2, S58 or S4_475, gets rep by rule, in
+    O(4^k), keyed by its invariant (_INVARIANTS, by catalog name;
+    _rule_form). Duals share the keys, so they are covered too. Any
+    other generator, such as a relabelled L2, gets its part keyed by
+    its 4^k - 1 evaluated joins (_evaluated_form), which stays the
+    tests' reference for the rules. A spec with several distinct
+    generators gets the meet of their parts, keyed by the tuple of the
+    parts' rep[S]: two subsets have the same join over the spec exactly
+    when they have it over each generator, since generators act
+    componentwise. The rules hold at every rank:
     - soundness: a row-constant generator with xy = f(x) sends the join
       of S to sum_{i in A} a_i + sum_{i in B} f(a_i). L2 has f = id, so
       the value reads U; N2 has f constant at its bottom, so it reads
@@ -850,7 +848,7 @@ def _closed_form(spec: VarietySpec, k: int) -> tuple[int, ...]:
     _CLOSED_FORM_CACHE_CELLS; classification at order 6 asks for the
     six generators' and the four merged specs' forms at rank 6, 40,960
     ints. No budget is checked here: callers check it first
-    (_closed_route, _check_cell_budget).
+    (_closed_route, holds_in, classify_generated).
 
     Nor is the spec checked: rep is the closed form of F_R(k) only when
     every generator lies in R, or of its dual only when every one lies
@@ -868,7 +866,8 @@ def _form(generators: dict, k: int) -> tuple[int, ...]:
         _closed_forms.move_to_end(entry)
         return rep
     if len(generators) > 1:
-        rep = _meet_form([_form({key: g}, k) for key, g in generators.items()])
+        parts = [_form({key: g}, k) for key, g in generators.items()]
+        rep = _kernel(zip(*parts))
     else:
         [(key, g)] = generators.items()
         invariant = _rules().get(key)
@@ -881,28 +880,25 @@ def _form(generators: dict, k: int) -> tuple[int, ...]:
     return rep
 
 
+def _kernel(keys) -> tuple[int, ...]:
+    """rep from a key for every subset, keys[S] for S = 0 .. 4^k - 1:
+    rep[S] is the least nonempty subset with S's key, and rep[0] = 0
+    pads the empty subset, whatever its key."""
+    first: dict = {}
+    rest = itertools.islice(keys, 1, None)
+    return (0, *(first.setdefault(key, s) for s, key in enumerate(rest, 1)))
+
+
 def _rule_form(invariant, k: int) -> tuple[int, ...]:
-    """rep by rule: the least subset with the same invariant of
-    (A, B, U, e) (see _closed_form)."""
-    first: dict = {}
-    return (0, *(first.setdefault(invariant(*_abue(s, k)), s) for s in range(1, 4**k)))
-
-
-def _meet_form(parts) -> tuple[int, ...]:
-    """rep of several generators from their parts: the least subset with
-    the same tuple of the parts' representatives (see _closed_form)."""
-    first: dict = {}
-    return tuple(first.setdefault(reps, s) for s, reps in enumerate(zip(*parts)))
+    """rep by rule: the kernel of the invariant of (A, B, U, e) (see
+    _closed_form)."""
+    return _kernel(invariant(*_abue(s, k)) for s in range(4**k))
 
 
 def _evaluated_form(generators, k: int) -> tuple[int, ...]:
-    """rep by evaluation: the least subset with the same evaluation
-    vector over the generators (see _closed_form)."""
-    first: dict = {}
-    return tuple(
-        first.setdefault(vec, subset)
-        for subset, vec in enumerate(_letter_joins(_Vectors(generators, k)))
-    )
+    """rep by evaluation: the kernel of the evaluation vectors over the
+    generators (see _closed_form)."""
+    return _kernel(_letter_joins(_Vectors(generators, k)))
 
 
 def _letter_joins(vectors: _Vectors) -> list:
@@ -924,8 +920,7 @@ def _closed_route(spec: VarietySpec, k: int, cell_limit: int):
     spec or when the closed form's (4^k - 1) x width cells exceed
     `cell_limit`; the closure never holds more cells than the closed
     form, so no budget verdict depends on the route."""
-    width = sum(g.order**k for g in spec.generators)
-    if (4**k - 1) * width > cell_limit:
+    if _evaluation_cells(spec, k) > cell_limit:
         return None
     for flipped in (False, True):
         if all(_in_r(g, flipped) for g in spec.generators):
@@ -933,14 +928,20 @@ def _closed_route(spec: VarietySpec, k: int, cell_limit: int):
     return None
 
 
+def _evaluation_cells(spec: VarietySpec, k: int) -> int:
+    """The (4^k - 1) x width vector cells of the spec's rank-k closed form
+    by evaluation (see _closed_form), width being the sum of |g|^k over
+    its generators g."""
+    return (4**k - 1) * sum(g.order**k for g in spec.generators)
+
+
 def _class_ops(k: int, rep: tuple[int, ...], flipped: bool):
     """Seeds, element form and step of the sweep over rep's classes (see
     _Universe): a class's form is the pair (class, class of its square
     set), so a product costs no lookup."""
-    low = (1 << k) - 1
 
     def form(s):
-        return s, rep[((s | s >> k) & low) << k]
+        return s, rep[_square(s, k)]
 
     if flipped:
 
@@ -957,38 +958,18 @@ def _class_ops(k: int, rep: tuple[int, ...], flipped: bool):
 
 def _check_closed_form(uni: _Universe, rep: tuple[int, ...], label: str) -> None:
     """Raise RuntimeError unless rep is the kernel of the subset joins
-    over uni's generators and has uni.size classes: each subset's join
-    equals its representative's, and the representatives' joins are
-    pairwise distinct. The joins of a subset agree over a generator and
-    its dual, so the check serves both routes. _universe runs it on
+    over uni's generators (_kernel, so with least representatives) and
+    has uni.size classes. The joins of a subset agree over a generator
+    and its dual, so the check serves both routes. _universe runs it on
     every closed-form build, reading the joins that uni computed from
     its generators."""
-    joins = uni.joins
-    classes = set(rep[1:])  # rep[0] pads the empty subset
-    if (
-        any(joins[s] != joins[r] for s, r in enumerate(rep))
-        or len({joins[r] for r in classes}) != len(classes)
-        or len(classes) != uni.size
-    ):
+    classes = len(set(rep[1:]))  # rep[0] pads the empty subset
+    if rep != _kernel(uni.joins) or classes != uni.size:
         raise RuntimeError(
             f"free algebra of {label!r} at rank {uni.k} has {uni.size} "
             f"elements but disagrees with the closed form of F_R({uni.k}), "
-            f"which has {len(classes)} classes"
+            f"which has {classes} classes"
         )
-
-
-def _check_cell_budget(specs, k: int) -> None:
-    """Raise ResourceBudgetError when some spec's closed form at rank k
-    exceeds DEFAULT_CELL_LIMIT cells: 4^k when each of its distinct
-    generators has a rule, else (4^k - 1) x width vector cells, the cost
-    of evaluation (see _closed_form)."""
-    for s in specs:
-        if _spec_rules(s) is not None:
-            cells = 4**k
-        else:
-            cells = (4**k - 1) * sum(g.order**k for g in s.generators)
-        if cells > DEFAULT_CELL_LIMIT:
-            raise ResourceBudgetError(f"closed form of {cells} cells exceeds the cell budget")
 
 
 def holds_in(spec: VarietySpec, ident: Identity | str) -> bool:
@@ -1001,12 +982,13 @@ def holds_in(spec: VarietySpec, ident: Identity | str) -> bool:
     each generator (see _closed_form). When every generator has a rule
     that is the case when both subsets have the same invariant under
     each generator's rule, a comparison in the identity's length with
-    no table and no budget. Otherwise both subsets must have the same representative in
-    the spec's closed form of rank k, whose (4^k - 1) x width cells are
-    checked against the cell budget before any other work
-    (ResourceBudgetError, see _check_cell_budget). Raises ValueError
-    for a spec outside R (the dual shares its closed form, but a word
-    there reduces by its last letter).
+    no table and no budget. Otherwise both subsets must have the same
+    representative in the spec's closed form of rank k, built by
+    evaluation, whose (4^k - 1) x width cells (_evaluation_cells, as on
+    _closed_route) are checked against DEFAULT_CELL_LIMIT before any
+    other work (ResourceBudgetError). Raises ValueError for a spec
+    outside R (the dual shares its closed form, but a word there
+    reduces by its last letter).
     """
     if isinstance(ident, str):
         ident = parse_identity(ident)
@@ -1014,7 +996,9 @@ def holds_in(spec: VarietySpec, ident: Identity | str) -> bool:
     k = len(variables)
     invariants = _spec_rules(spec)
     if invariants is None:
-        _check_cell_budget((spec,), k)
+        cells = _evaluation_cells(spec, k)
+        if cells > DEFAULT_CELL_LIMIT:
+            raise ResourceBudgetError(f"closed form of {cells} cells exceeds the cell budget")
     bit = {v: i for i, v in enumerate(variables)}
 
     def subset(t: TermNF) -> int:
@@ -1076,13 +1060,18 @@ def _leq(specs, cell_limit: int, join_values: dict) -> tuple[tuple[bool, ...], .
 @lru_cache(maxsize=1)
 def _standard():
     """The ten standard specs, their inclusion order (all of them are in
-    R, so _leq builds no closure) and pattern index. Being in R is
-    checked here, since classify_generated reads their closed forms."""
-    table = _standard_patterns()
-    specs = tuple(s for s, _ in table)
+    R, so _leq builds no closure) and the index of their generators'
+    patterns (_pattern, computed here once each). Being in R and having
+    a rule for every generator are checked here, since
+    classify_generated reads their closed forms and charges each 4^k
+    cells, the cost of a rule-built form."""
+    specs = tuple(standard_subvariety_specs())
     if not all(_in_r(g) for s in specs for g in s.generators):
         raise ValueError("a standard spec falsifies xy = xz")
-    return specs, _leq(specs, DEFAULT_CELL_LIMIT, {}), _pattern_index(table)
+    if any(_spec_rules(s) is None for s in specs):
+        raise ValueError("a standard spec has a generator without a rule")
+    index = _pattern_index([(s, _pattern(s.generators)) for s in specs])
+    return specs, _leq(specs, DEFAULT_CELL_LIMIT, {}), index
 
 
 class ClassificationError(ValueError):
@@ -1120,15 +1109,17 @@ def classify_generated(a: FiniteAlgebra) -> str:
     candidates and specs inside R. The order that picks the least such V
     comes from the same test (see _standard), so even a cold call builds
     no closure. The ten closed forms are built by rule and meet (see
-    _closed_form), and their 4^k cells are checked against
-    DEFAULT_CELL_LIMIT before any other work (_check_cell_budget).
+    _closed_form; _standard checks that every standard generator has a
+    rule), and their 4^k cells are checked against DEFAULT_CELL_LIMIT
+    before any other work (ResourceBudgetError).
     """
     a.validate()
     if not _in_r(a):
         raise ValueError("classification requires an algebra satisfying xy = xz")
     specs, leq, by_pattern = _standard()
     k = a.order
-    _check_cell_budget(specs, k)
+    if 4**k > DEFAULT_CELL_LIMIT:
+        raise ResourceBudgetError(f"closed form of {4**k} cells exceeds the cell budget")
     pattern = _pattern((a,))
     found = by_pattern.get(pattern)
     if found is None:

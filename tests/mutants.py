@@ -66,6 +66,9 @@ LAZY_AXIOMS = "tests/test_variety.py::test_closed_route_free_algebra_checks_its_
 VECTOR_BUDGET = "tests/test_variety.py::test_holds_in_budget_is_raised_before_any_vector"
 END_OF_SIDE = "tests/test_terms.py::test_input_ending_inside_a_side_points_past_its_last_token"
 EMPTY_TERM = "tests/test_terms.py::test_empty_term_is_a_syntax_error_at_column_0"
+CERTIFICATES = (
+    "tests/test_variety.py::test_closed_form_certificates_are_sound_and_verdicts_match_the_closure"
+)
 # the lines of `_Search.successors` between its cache lookup and its fill,
 # among them its call of `_count`, the search's one counting point
 CACHE_FILL = """\
@@ -130,15 +133,15 @@ MUTANTS = (
     Mutant(
         "L2's invariant U replaced by A",
         VARIETY,
-        "lambda a, b, u, e: u,  # L2",
-        "lambda a, b, u, e: a,  # L2",
+        '"L2": lambda a, b, u, e: u,',
+        '"L2": lambda a, b, u, e: a,',
         (RULES,),
     ),
     Mutant(
         "S58's invariant (B, U) replaced by (A, U)",
         VARIETY,
-        "lambda a, b, u, e: (b, u),  # S58",
-        "lambda a, b, u, e: (a, u),  # S58",
+        '"S58": lambda a, b, u, e: (b, u),',
+        '"S58": lambda a, b, u, e: (a, u),',
         (RULES,),
     ),
     Mutant(
@@ -209,8 +212,8 @@ MUTANTS = (
     Mutant(
         "evaluation-form budget counts one subset too few",
         VARIETY,
-        "(4**k - 1) * sum(g.order**k for g in s.generators)",
-        "(4**k - 2) * sum(g.order**k for g in s.generators)",
+        "(4**k - 1) * sum(g.order**k for g in spec.generators)",
+        "(4**k - 2) * sum(g.order**k for g in spec.generators)",
         (EVALUATION_BUDGET,),
     ),
     Mutant(
@@ -237,8 +240,8 @@ MUTANTS = (
     Mutant(
         "meet keyed on the first generator's part only",
         VARIETY,
-        "first.setdefault(reps, s) for s, reps in enumerate(zip(*parts))",
-        "first.setdefault(reps[0], s) for s, reps in enumerate(zip(*parts))",
+        "rep = _kernel(zip(*parts))",
+        "rep = _kernel(parts[0])",
         (MEETS, RULES),
     ),
     Mutant(
@@ -272,9 +275,23 @@ MUTANTS = (
     Mutant(
         "a spec with a rule-less generator charged 4^k cells",
         VARIETY,
-        "if _spec_rules(s) is not None:\n            cells = 4**k",
-        "if True:\n            cells = 4**k",
+        "cells = _evaluation_cells(spec, k)",
+        "cells = 4**k",
         (EVALUATION_BUDGET, VECTOR_BUDGET),
+    ),
+    Mutant(
+        "squares written as letters",
+        VARIETY,
+        "return ((s | s >> k) & ((1 << k) - 1)) << k",
+        "return (s | s >> k) & ((1 << k) - 1)",
+        ("tests/test_variety.py::test_free_algebra_of_r_rank_1",),
+    ),
+    Mutant(
+        "no mirror on the closed-form certificate",
+        VARIETY,
+        "return ident.mirror() if flipped else ident",
+        "return ident",
+        (CERTIFICATES,),
     ),
     Mutant(
         "frozen algebra born validated",

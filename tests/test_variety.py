@@ -414,8 +414,9 @@ def test_specs_sharing_a_pattern_are_rejected():
 
 
 def test_a_cold_process_computes_each_standard_pattern_once(monkeypatch):
-    # _rules() and _standard() read one pattern table, and _rules() never
-    # calls _standard(), whose inclusion order reads closed forms
+    # _rules() reads the catalog by name, so it computes no pattern and
+    # never calls _standard(), whose inclusion order reads closed forms;
+    # _standard() computes each of the ten patterns once
     calls = []
     pattern = variety._pattern
 
@@ -426,16 +427,30 @@ def test_a_cold_process_computes_each_standard_pattern_once(monkeypatch):
     def refuse():
         raise AssertionError("_rules() called _standard()")
 
-    for cached in (variety._standard_patterns, variety._rules, variety._standard):
+    for cached in (variety._rules, variety._standard):
         cached.cache_clear()
     monkeypatch.setattr(variety, "_pattern", counted)
     standard = variety._standard
     monkeypatch.setattr(variety, "_standard", refuse)
     variety._rules()
+    assert calls == []
     monkeypatch.setattr(variety, "_standard", standard)
     specs, _, by_pattern = variety._standard()
     assert len(calls) == len(specs) == 10
     assert {specs[i].label: p for p, i in by_pattern.items()} == PINNED_PATTERNS
+
+
+def test_standard_refuses_a_standard_generator_without_a_rule(monkeypatch):
+    # classify_generated charges each standard closed form 4^k cells, the
+    # cost of a rule-built form, so _standard() checks every generator has
+    # a rule
+    rules = variety._rules()
+    s58 = variety._generator_key(g("S58"))
+    for cached in (variety._rules, variety._standard):
+        cached.cache_clear()
+    monkeypatch.setattr(variety, "_rules", lambda: {k: r for k, r in rules.items() if k != s58})
+    with pytest.raises(ValueError, match="without a rule"):
+        variety._standard()
 
 
 def test_standard_order_comes_from_the_closed_form(monkeypatch):
@@ -654,7 +669,9 @@ def test_check_closed_form_rejects_a_corrupted_rep():
     # a class split: two representatives share one join
     s = next(s for s, r in enumerate(rep) if s != r)
     split = rep[:s] + (s,) + rep[s + 1 :]
-    for bad in (merged, split):
+    # a class led by a later subset instead of its least
+    late = tuple(s if r == rep[s] else r for r in rep)
+    for bad in (merged, split, late):
         with pytest.raises(RuntimeError, match="disagrees with the closed form"):
             variety._check_closed_form(uni, bad, ln.label)
 
