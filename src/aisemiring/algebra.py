@@ -71,31 +71,14 @@ class AxiomReport:
 _PASSED = AxiomReport(**dict.fromkeys(LAWS, True))
 
 
-def _is_frozen(rows, n: int) -> bool:
-    """Whether `rows` is already a Table: n tuples of n exact ints in 0..n-1.
-
-    Each distinct row object is checked once, so a table whose rows are
-    interned (a free algebra's constant product rows) costs one check per
-    distinct row.
-    """
-    if type(rows) is not tuple or len(rows) != n:
-        return False
-    distinct = {id(row): row for row in rows}.values()
-    if not all(type(row) is tuple and len(row) == n for row in distinct):
-        return False
-    entries = [*itertools.chain.from_iterable(distinct)]
-    return set(map(type, entries)) == {int} and 0 <= min(entries) and max(entries) < n
-
-
 def _freeze_table(rows: Iterable[Sequence[int]], n: int, which: str) -> Table:
-    """`rows` as a Table, raising TableFormatError on a bad shape or entry.
+    """`rows` as a new Table, each row converted and checked by
+    `_freeze_row`; TableFormatError on a bad shape or entry.
 
-    A table that is already frozen is returned as it is, so algebras
-    built from shared tables (one add table per reduct, interned mul
-    rows) share them instead of holding copies.
+    Every input is converted, a tuple of tuples included. Tables that
+    are already trusted (the enumeration streams, the free algebras,
+    `dual`) skip this through `_frozen_algebra`.
     """
-    if _is_frozen(rows, n):
-        return rows
     out = tuple(_freeze_row(row, n, which) for row in rows)
     if len(out) != n:
         raise TableFormatError(f"{which} has {len(out)} rows, expected {n}")
@@ -268,19 +251,18 @@ def _product_law_checker(n: int, add: Table) -> Callable[[bytes], bool]:
     return check
 
 
-def _frozen_algebra(n: int, add: Table, mul: Table, name: str | None = None) -> FiniteAlgebra:
+def _frozen_algebra(
+    n: int, add: Table, mul: Table, name: str | None = None, report: AxiomReport | None = None
+) -> FiniteAlgebra:
     """An algebra on tables the caller has frozen, built without scanning
-    them again; its axioms are checked on first use, as for any algebra."""
+    them again: the one way round `FiniteAlgebra.__init__`.
+
+    `report` is the caller's verdict on the six laws, such as `_PASSED`
+    for tables it has checked; with none, the axioms are checked on
+    first use, as for any algebra.
+    """
     a = object.__new__(FiniteAlgebra)
-    a.order, a.add, a.mul, a.name, a._report = n, add, mul, name, None
-    return a
-
-
-def _checked_algebra(n: int, add: Table, mul: Table) -> FiniteAlgebra:
-    """An algebra on tables the caller has frozen and found to satisfy the
-    six laws, built without scanning them again."""
-    a = _frozen_algebra(n, add, mul)
-    a._report = _PASSED
+    a.order, a.add, a.mul, a.name, a._report = n, add, mul, name, report
     return a
 
 
@@ -401,12 +383,12 @@ def dual(a: FiniteAlgebra) -> FiniteAlgebra:
     associativity (x*y*z read backwards) and swaps the two distributive
     laws. So the dual of a validated algebra is an ai-semiring, and it
     takes over `a`'s passing report instead of checking the laws again.
+    It shares `a`'s add table, and neither table is scanned: both come
+    from `a`, whose tables are already frozen.
     """
     a.validate()
     name = f"dual({a.name})" if a.name else None
-    out = FiniteAlgebra(a.order, a.add, tuple(zip(*a.mul)), name)
-    out._report = a._report
-    return out
+    return _frozen_algebra(a.order, a.add, tuple(zip(*a.mul)), name, a._report)
 
 
 def _inverse(perm: Sequence[int]) -> tuple[int, ...]:

@@ -39,8 +39,9 @@ from .algebra import (
     AxiomError,
     FiniteAlgebra,
     Table,
-    _checked_algebra,
+    _PASSED,
     _freeze_row,
+    _frozen_algebra,
     _inverse,
     _law_witnesses,
     _product_law_checker,
@@ -369,7 +370,7 @@ def enumerate_ai_semirings(
         for start in range(0, len(packed), n * n):
             keys = (packed[i : i + n] for i in range(start, start + n * n, n))
             mul = tuple(rows.get(k) or rows.setdefault(k, _freeze_row(k, n, "mul")) for k in keys)
-            built[index].append(_checked_algebra(n, add, mul))
+            built[index].append(_frozen_algebra(n, add, mul, report=_PASSED))
     algebras = [a for part in built for a in part]
     return EnumerationReport(
         order=n,
@@ -481,7 +482,7 @@ def enumerate_row_constant(n: int) -> EnumerationReport:
         endos = sorted(_orbit_minimal_endos(add))
         _check_laws(n, add, [bytes(v for v in f for _ in range(n)) for f in endos])
         for f in endos:
-            algebras.append(_checked_algebra(n, add, tuple(rows[v] for v in f)))
+            algebras.append(_frozen_algebra(n, add, tuple(rows[v] for v in f), report=_PASSED))
     return EnumerationReport(
         order=n,
         class_name="row-constant",

@@ -296,9 +296,44 @@ MUTANTS = (
     Mutant(
         "frozen algebra born validated",
         ALGEBRA,
-        "a.order, a.add, a.mul, a.name, a._report = n, add, mul, name, None",
+        "a.order, a.add, a.mul, a.name, a._report = n, add, mul, name, report",
         "a.order, a.add, a.mul, a.name, a._report = n, add, mul, name, _PASSED",
         (LAZY_AXIOMS,),
+    ),
+    Mutant(
+        "dual drops its operand's report",
+        ALGEBRA,
+        "return _frozen_algebra(a.order, a.add, tuple(zip(*a.mul)), name, a._report)",
+        "return _frozen_algebra(a.order, a.add, tuple(zip(*a.mul)), name)",
+        ("tests/test_algebra.py::test_dual_takes_over_a_passing_report_that_holds",),
+    ),
+    Mutant(
+        "general stream emits unvalidated algebras",
+        ENUMERATION,
+        "built[index].append(_frozen_algebra(n, add, mul, report=_PASSED))",
+        "built[index].append(_frozen_algebra(n, add, mul))",
+        ("tests/test_enumeration.py::test_the_parent_checks_no_law_again",),
+    ),
+    Mutant(
+        "row-constant stream emits unvalidated algebras",
+        ENUMERATION,
+        "algebras.append(_frozen_algebra(n, add, tuple(rows[v] for v in f), report=_PASSED))",
+        "algebras.append(_frozen_algebra(n, add, tuple(rows[v] for v in f)))",
+        ("tests/test_enumeration.py::test_row_constant_emissions_satisfy_defining_identity",),
+    ),
+    Mutant(
+        "a skipped worker law check",
+        ENUMERATION,
+        "    _check_laws(n, tuple(add_flat[i : i + n] for i in range(0, n * n, n)), packed)\n",
+        "",
+        ("tests/test_enumeration.py::test_chunk_workers_check_the_reduct",),
+    ),
+    Mutant(
+        "a wrong forced value",
+        ENUMERATION,
+        "(v := xrow[yb])",
+        "(v := xrow[b])",
+        ("tests/test_enumeration.py::test_mul_search_matches_reference",),
     ),
 )
 

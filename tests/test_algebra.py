@@ -130,10 +130,10 @@ def test_freeze_table_messages_and_conversions():
         assert a.add == CHAIN_ADD and a.add is not add
         assert all(type(x) is int for row in a.add + a.mul for x in row)
         assert type(a.mul) is tuple and all(type(row) is tuple for row in a.mul)
-    # an in-range frozen table is kept as it is
+    # an in-range frozen table is converted too, to equal tuples
     zero = ((0, 0), (0, 0))
     b = FiniteAlgebra(2, CHAIN_ADD, zero)
-    assert b.add is CHAIN_ADD and b.mul is zero
+    assert b.add == CHAIN_ADD and b.mul == zero
 
 
 def test_interned_rows_are_kept_and_still_checked():
@@ -141,8 +141,8 @@ def test_interned_rows_are_kept_and_still_checked():
     row = (1, 1, 1)
     shared = (row, row, row)
     a = FiniteAlgebra(3, add, shared)
-    assert a.add is add and a.mul is shared
-    # a row object met three times is checked once, and still checked
+    assert a.add == add and a.mul == shared
+    # a row object met three times is still checked
     with pytest.raises(TableFormatError, match=r"mul entry 3 out of range 0\.\.2"):
         FiniteAlgebra(3, add, ((0, 0, 3),) * 3)
     with pytest.raises(TableFormatError, match="mul row has length 2, expected 3"):
@@ -336,6 +336,26 @@ def test_dual_takes_over_a_passing_report_that_holds(monkeypatch):
         d = dual(a)
         assert calls == [] and d.is_validated  # no law is checked again
         assert verify_axioms(d).ok, (a.add, a.mul)
+
+
+def test_trusted_paths_convert_no_table(monkeypatch):
+    from aisemiring import algebra
+    from aisemiring.enumeration import enumerate_column_constant
+    from aisemiring.variety import VarietySpec, free_algebra
+
+    builtins = [catalog.get(name).validate() for name in catalog.builtin_names()]
+    top = VarietySpec("R", (catalog.get("S4_475"),))
+
+    def refuse(*args):
+        raise AssertionError("a trusted table was converted again")
+
+    # dual, the streams and the free algebras build on tables already checked
+    monkeypatch.setattr(algebra, "_freeze_table", refuse)
+    for a in builtins:
+        d = dual(a)
+        assert d.add is a.add and d.mul == tuple(zip(*a.mul))
+    assert enumerate_column_constant(4).count == 60
+    assert free_algebra(top, 2).algebra.order == 15
 
 
 def _naive_canonical(a):
